@@ -1,7 +1,8 @@
 //! Fixture: an ambient env read outside the designated config modules.
-//! Registered variables (`VVD_WORKERS`, `VVD_PIPELINE`, `VVD_AUTOTUNE_DIR`)
-//! get no dispensation: the allowlist is the *module that owns the read*,
-//! never the variable name.
+//! Registered variables (`VVD_WORKERS`, `VVD_AUTOTUNE_DIR`) get no
+//! dispensation, and neither does an unregistered one (`VVD_PIPELINE`):
+//! the allowlist is the *module that owns the read*, never the variable
+//! name.
 
 pub fn workers() -> usize {
     std::env::var("VVD_WORKERS")

@@ -147,8 +147,7 @@ impl Default for Config {
             .to_vec(),
             env_modules: [
                 // VVD_WORKERS / VVD_PROCS / VVD_CHECKPOINT_TICKS /
-                // VVD_PIPELINE / VVD_AUTOTUNE_DIR — the execution-policy
-                // knobs.
+                // VVD_AUTOTUNE_DIR — the execution-policy knobs.
                 "crates/dsp/src/workers.rs",
                 // VVD_BENCH_PRESET — bench campaign scale.
                 "crates/bench/src/lib.rs",
@@ -164,7 +163,7 @@ impl Default for Config {
                 // results.
                 "crates/nn/src/kernels/autotune.rs",
                 // The serve engine's phase stopwatch: report-only
-                // dsp/infer/overlap timings, excluded from digests.
+                // dsp/infer timings, excluded from digests.
                 "crates/serve/src/timing.rs",
             ]
             .map(str::to_string)
@@ -658,9 +657,10 @@ mod tests {
 
     #[test]
     fn pipeline_env_read_outside_workers_module_fires() {
-        // VVD_PIPELINE / VVD_AUTOTUNE_DIR are owned by
-        // crates/dsp/src/workers.rs; a stray read anywhere else is an
-        // ambient-env violation regardless of the variable's name.
+        // Only crates/dsp/src/workers.rs may read the environment: a stray
+        // read anywhere else is an ambient-env violation regardless of the
+        // variable's name, registered knob (VVD_AUTOTUNE_DIR) or not
+        // (VVD_PIPELINE).
         let f = run(
             "crates/serve/src/engine.rs",
             "fn f() -> bool { std::env::var(\"VVD_PIPELINE\").is_ok() }\n",

@@ -86,9 +86,10 @@ fn allowed_fixtures_are_waived() {
 
 #[test]
 fn every_registered_env_var_fires_when_read_outside_its_module() {
-    // VVD_WORKERS, VVD_PIPELINE and VVD_AUTOTUNE_DIR are all registered to
-    // crates/dsp/src/workers.rs — reading any of them from unregistered
-    // code is one finding per read site.
+    // VVD_WORKERS and VVD_AUTOTUNE_DIR are registered to
+    // crates/dsp/src/workers.rs, VVD_PIPELINE to no module at all —
+    // reading any of them from unregistered code is one finding per read
+    // site.
     let findings = run(Rule::AmbientEnv, "violating.rs");
     let env_findings = findings
         .iter()

@@ -3,14 +3,14 @@
 //!
 //! Builds a 64-session workload (two scenarios, six estimator families,
 //! heterogeneous arrival intervals) through the `vvd-serve` load
-//! generator, runs it sharded with the tick pipeline on and off
-//! (interleaved repetitions, medians reported) and once on a single
-//! shard, and reports throughput, per-phase timings (DSP synthesis,
-//! batched inference, pipeline overlap), batch occupancy (NN images per
-//! forward call — the quantity the serving layer exists to maximise), and
-//! the shared model cache's counters.  All runs must digest identically:
-//! sharding, batch composition and pipelining are invisible in every
-//! decoded result.
+//! generator, runs it sharded and once on a single shard, and reports
+//! throughput, per-phase timings (DSP synthesis vs batched inference),
+//! the synthesis memo's counters (requests vs syntheses — the 64 sessions
+//! replay two test streams), batch occupancy (NN images per forward call
+//! — the quantity the serving layer exists to maximise), and the shared
+//! model cache's counters.  All runs must digest identically: sharding,
+//! batch composition and synthesis sharing are invisible in every decoded
+//! result.
 //!
 //! A third run serves the same workload as a **cluster of worker
 //! processes** (`vvd-net`, self-exec backend, `VVD_PROCS` sizes the
@@ -41,10 +41,6 @@ const ESTIMATORS: [&str; 6] = [
 
 const SESSIONS: usize = 64;
 
-/// Interleaved pipeline-on/off repetitions per mode; the reported wall
-/// times are the per-mode medians.
-const PIPELINE_REPS: usize = 3;
-
 fn main() {
     // Under the self-exec cluster backend this process doubles as the
     // worker binary; worker invocations never return from this call.
@@ -70,48 +66,9 @@ fn main() {
     let campaigns = workload.campaigns.clone();
 
     let shards = vvd_dsp::worker_budget();
-    // Pipeline on/off A-B comparison: interleaved repetitions so ambient
-    // load hits both modes equally, medians reported.  The digests must be
-    // identical — the pipeline is pure scheduling — while the wall-clock
-    // difference is informational (on a single hardware thread the overlap
-    // window is empty and the two medians converge).
-    let rebuild = |generator: &LoadGenerator| {
-        let mut g = generator.clone();
-        for (spec, campaign) in &campaigns {
-            g = g.with_campaign(spec.clone(), campaign.clone());
-        }
-        g.build(&specs).expect("bench specs are valid")
-    };
-    let mut on_walls = Vec::new();
-    let mut off_walls = Vec::new();
-    let mut on_report = None;
-    let mut off_digest = None;
-    for _rep in 0..PIPELINE_REPS {
-        for pipeline in [true, false] {
-            let r = serve(rebuild(&generator), &ServeOptions { shards, pipeline });
-            if pipeline {
-                on_walls.push(r.wall);
-                if on_report.is_none() {
-                    on_report = Some(r);
-                }
-            } else {
-                off_walls.push(r.wall);
-                off_digest = Some(r.digest());
-            }
-        }
-    }
-    let report = on_report.expect("at least one pipeline-on repetition ran");
-    assert_eq!(
-        Some(report.digest()),
-        off_digest,
-        "the tick pipeline must be invisible in the served results"
-    );
-    on_walls.sort();
-    off_walls.sort();
-    let pipeline_on = on_walls[on_walls.len() / 2];
-    let pipeline_off = off_walls[off_walls.len() / 2];
+    let report = serve(workload, &ServeOptions { shards });
     println!(
-        "sharded ({shards} shards, pipeline on): {} packets ({} scored) in {} ticks, {:.2?} wall ({:.0} pkt/s)",
+        "sharded ({shards} shards): {} packets ({} scored) in {} ticks, {:.2?} wall ({:.0} pkt/s)",
         report.packets_streamed,
         report.packets_served,
         report.ticks,
@@ -119,13 +76,15 @@ fn main() {
         report.packets_streamed as f64 / report.wall.as_secs_f64().max(1e-9),
     );
     println!(
-        "pipeline medians over {PIPELINE_REPS} reps: on {pipeline_on:.2?}, off {pipeline_off:.2?}"
-    );
-    println!(
-        "phase timings: dsp {:.1}ms, infer {:.1}ms, overlap {:.1}% of the infer+commit window",
+        "phase timings: dsp {:.1}ms, infer {:.1}ms",
         report.phases.dsp_ms(),
         report.phases.infer_ms(),
-        report.phases.overlap_pct(),
+    );
+    println!(
+        "synthesis memo: {} requests / {} syntheses, peak {:.1} MiB resident",
+        report.synth.requests,
+        report.synth.syntheses,
+        report.synth.peak_resident_bytes as f64 / (1024.0 * 1024.0),
     );
     println!(
         "batched inference: {} forward calls / {} images — occupancy {:.2}, max batch {}",
@@ -160,6 +119,13 @@ fn main() {
     );
     assert!(report.batches.batch_calls < report.packets_served);
 
+    // Sessions of a scenario replay the same test stream, so the memo
+    // synthesizes far fewer packets than the sessions request.
+    assert!(
+        report.synth.syntheses < report.synth.requests,
+        "the synthesis memo never shared a packet"
+    );
+
     // Single-shard rerun over the same campaigns: bit-identical outcomes,
     // whatever the speedup.
     let mut generator = generator;
@@ -167,13 +133,7 @@ fn main() {
         generator = generator.with_campaign(spec.clone(), campaign.clone());
     }
     let workload = generator.build(&specs).expect("bench specs are valid");
-    let single = serve(
-        workload,
-        &ServeOptions {
-            shards: 1,
-            ..ServeOptions::default()
-        },
-    );
+    let single = serve(workload, &ServeOptions { shards: 1 });
     println!(
         "\nsingle shard: {:.2?} wall — sharded speedup {:.2}x",
         single.wall,
@@ -205,7 +165,6 @@ fn main() {
             cache_dir: Some(cache_dir.clone()),
             backend: WorkerBackend::SelfExec,
             checkpoints: false,
-            pipeline: vvd_dsp::pipeline_enabled(),
             fault: None,
         },
     )
@@ -276,9 +235,8 @@ fn main() {
                 "  \"cache_hits\": {hits},\n",
                 "  \"dsp_ms\": {dsp_ms:.2},\n",
                 "  \"infer_ms\": {infer_ms:.2},\n",
-                "  \"pipeline_overlap_pct\": {overlap_pct:.2},\n",
-                "  \"pipeline_on_ms\": {on_ms:.2},\n",
-                "  \"pipeline_off_ms\": {off_ms:.2},\n",
+                "  \"synth_requests\": {synth_requests},\n",
+                "  \"synth_syntheses\": {synth_syntheses},\n",
                 "  \"cluster_workers\": {workers},\n",
                 "  \"cluster_trainings\": {cluster_trainings},\n",
                 "  \"cluster_disk_hits\": {cluster_disk_hits},\n",
@@ -298,9 +256,8 @@ fn main() {
             hits = report.model_cache.hits,
             dsp_ms = report.phases.dsp_ms(),
             infer_ms = report.phases.infer_ms(),
-            overlap_pct = report.phases.overlap_pct(),
-            on_ms = pipeline_on.as_secs_f64() * 1e3,
-            off_ms = pipeline_off.as_secs_f64() * 1e3,
+            synth_requests = report.synth.requests,
+            synth_syntheses = report.synth.syntheses,
             workers = workers,
             cluster_trainings = cluster.report.model_cache.misses,
             cluster_disk_hits = cluster.report.model_cache.disk_hits,

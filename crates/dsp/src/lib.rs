@@ -38,6 +38,5 @@ pub use cvec::CVec;
 pub use fir::FirFilter;
 pub use solve::{least_squares, solve_linear};
 pub use workers::{
-    autotune_dir, checkpoint_interval, per_process_worker_budget, pipeline_enabled, proc_budget,
-    worker_budget,
+    autotune_dir, checkpoint_interval, per_process_worker_budget, proc_budget, worker_budget,
 };

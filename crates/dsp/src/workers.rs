@@ -39,15 +39,6 @@ pub const PROCS_ENV: &str = "VVD_PROCS";
 /// policy — checkpointing is opt-in, like multi-process serving.
 pub const CHECKPOINT_TICKS_ENV: &str = "VVD_CHECKPOINT_TICKS";
 
-/// Name of the environment variable gating the serve engine's pipelined
-/// tick execution (overlapping next-tick DSP synthesis with the current
-/// tick's batched inference).  The pipeline is **on by default**; set the
-/// variable to `0`, `false` or `off` to force strictly sequential ticks.
-/// Pipelining is pure scheduling — it cannot change any result bit — so
-/// the knob exists for A/B timing and for pinning CI matrix legs, not for
-/// correctness.
-pub const PIPELINE_ENV: &str = "VVD_PIPELINE";
-
 /// Name of the environment variable mounting the on-disk GEMM autotune
 /// layer: when set to a directory path, tuned block-size winners are
 /// persisted there (one tiny file per shape class) and re-loaded by later
@@ -114,22 +105,6 @@ pub fn checkpoint_interval() -> Option<u64> {
         .filter(|&n| n >= 1)
 }
 
-/// Whether the serve engine's pipelined tick execution is enabled:
-/// `true` unless `VVD_PIPELINE` is explicitly set to `0`, `false` or
-/// `off` (case-insensitive).  Any other value — including unset — keeps
-/// the pipeline on, because pipelining is pure scheduling and cannot
-/// change results; the off switch exists for A/B timing comparisons and
-/// CI matrix legs.
-pub fn pipeline_enabled() -> bool {
-    match std::env::var(PIPELINE_ENV) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !matches!(v.as_str(), "0" | "false" | "off")
-        }
-        Err(_) => true,
-    }
-}
-
 /// The optional on-disk GEMM autotune directory: `VVD_AUTOTUNE_DIR` when
 /// set to a non-empty path, `None` otherwise.  Like every other ambient
 /// policy this is read *here* — the single environment site the
@@ -178,15 +153,6 @@ mod tests {
             None => {}
             Some(n) => assert!(n >= 1),
         }
-    }
-
-    #[test]
-    fn pipeline_defaults_on() {
-        // The test environment does not set VVD_PIPELINE (and must not —
-        // ambient env writes would race other tests), so the default is
-        // "pipeline on" unless CI's matrix pinned it off; either way the
-        // call must not panic and must return a plain bool.
-        let _ = pipeline_enabled();
     }
 
     #[test]

@@ -46,6 +46,7 @@ use std::time::Instant;
 use vvd_estimation::ModelCacheStats;
 use vvd_serve::{
     BatchCounters, LoadGenerator, ReportAssemblyError, ServeReport, ServeSpecError, SessionSpec,
+    SynthCounters,
 };
 use vvd_testbed::stream::EstimatorTrace;
 use vvd_testbed::EvalConfig;
@@ -107,13 +108,6 @@ pub struct ClusterOptions {
     /// Defaults to whether `VVD_CHECKPOINT_TICKS` is set (the ambient
     /// checkpoint policy of [`vvd_dsp::checkpoint_interval`]).
     pub checkpoints: bool,
-    /// Whether worker engines run the double-buffered tick pipeline
-    /// (`ServeOptions::pipeline`).  Defaults to
-    /// [`vvd_dsp::pipeline_enabled`] *in the coordinator*, and is pinned
-    /// into every worker's assignment so the cluster never mixes ambient
-    /// per-process defaults.  Pure scheduling: digests are identical
-    /// either way, at every cluster size.
-    pub pipeline: bool,
     /// A deterministic fault injection, for testing crash recovery.
     /// `None` (the default) injects nothing.
     pub fault: Option<InjectedFault>,
@@ -129,7 +123,6 @@ impl Default for ClusterOptions {
             cache_dir: None,
             backend: WorkerBackend::Loopback,
             checkpoints: vvd_dsp::checkpoint_interval().is_some(),
-            pipeline: vvd_dsp::pipeline_enabled(),
             fault: None,
         }
     }
@@ -311,7 +304,9 @@ pub struct ClusterRun {
 /// `crates/net/tests/cluster_golden.rs` pins across worker counts and
 /// backends.  The merged report's `ticks` is the maximum over workers
 /// (each worker only ticks instants at which one of *its* sessions is
-/// due); batching and cache counters are summed.
+/// due); batching, synthesis-memo and cache counters are summed, except
+/// the largest batch and the memo's peak residency, which take the
+/// per-worker maximum.
 ///
 /// # Errors
 /// Validation failures before anything is spawned; spawn, wire, worker
@@ -378,7 +373,6 @@ pub fn serve_cluster_detailed(
             config_json: config_json.clone(),
             sessions: sessions.clone(),
             checkpoints,
-            pipeline: options.pipeline,
         })
         .collect();
 
@@ -493,10 +487,12 @@ pub fn serve_cluster_detailed(
     }
     let mut ticks = 0u64;
     let mut batches = BatchCounters::default();
+    let mut synth = SynthCounters::default();
     let mut model_cache = ModelCacheStats::default();
     for stats in &per_worker {
         ticks = ticks.max(stats.ticks);
         batches.absorb(stats.batches);
+        synth.absorb(stats.synth);
         model_cache.absorb(&stats.cache);
     }
     for link in links {
@@ -531,19 +527,18 @@ pub fn serve_cluster_detailed(
         })
         .collect();
 
-    Ok(ClusterRun {
-        report: ServeReport::assemble_complete(
-            specs.len(),
-            meta,
-            traces,
-            ticks,
-            batches,
-            model_cache,
-            started.elapsed(),
-        )
-        .map_err(ClusterError::Merge)?,
-        per_worker,
-    })
+    let mut report = ServeReport::assemble_complete(
+        specs.len(),
+        meta,
+        traces,
+        ticks,
+        batches,
+        model_cache,
+        started.elapsed(),
+    )
+    .map_err(ClusterError::Merge)?;
+    report.synth = synth;
+    Ok(ClusterRun { report, per_worker })
 }
 
 /// How many times one worker slot may be respawned before its failures
@@ -670,10 +665,7 @@ mod tests {
         let cfg = tiny_config();
         let reference = serve(
             LoadGenerator::new(cfg).build(&mixed_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
         for workers in [1usize, 2, 3, 5, 7] {
             let report = serve_cluster(
@@ -686,7 +678,6 @@ mod tests {
                     cache_dir: None,
                     backend: WorkerBackend::Loopback,
                     checkpoints: false,
-                    pipeline: vvd_dsp::pipeline_enabled(),
                     fault: None,
                 },
             )
@@ -698,6 +689,11 @@ mod tests {
             );
             assert_eq!(report.sessions.len(), reference.sessions.len());
             assert_eq!(report.packets_streamed, reference.packets_streamed);
+            // The workers' memo counters cross the wire and sum: every
+            // session requests the same products wherever it runs, and
+            // each worker synthesizes its own copy of a shared packet.
+            assert_eq!(report.synth.requests, reference.synth.requests);
+            assert!(report.synth.syntheses >= reference.synth.syntheses);
             // Session summaries merge back in global order with identical
             // quality numbers.
             for (merged, single) in report.sessions.iter().zip(&reference.sessions) {
@@ -718,10 +714,7 @@ mod tests {
         ];
         let reference = serve(
             LoadGenerator::new(cfg).build(&specs).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
         let run = serve_cluster_detailed(
             &cfg,
@@ -733,7 +726,6 @@ mod tests {
                 cache_dir: None,
                 backend: WorkerBackend::Loopback,
                 checkpoints: false,
-                pipeline: vvd_dsp::pipeline_enabled(),
                 fault: None,
             },
         )
@@ -771,7 +763,6 @@ mod tests {
                     cache_dir: None,
                     backend: WorkerBackend::Loopback,
                     checkpoints: false,
-                    pipeline: vvd_dsp::pipeline_enabled(),
                     fault: None,
                 },
             )
@@ -786,10 +777,7 @@ mod tests {
         let cfg = tiny_config();
         let reference = serve(
             LoadGenerator::new(cfg).build(&mixed_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
         // Kill a worker at several protocol points: before any serving
         // tick (only the ready-ack checkpoint exists) and mid-stream.
@@ -804,7 +792,6 @@ mod tests {
                     cache_dir: None,
                     backend: WorkerBackend::Loopback,
                     checkpoints: true,
-                    pipeline: vvd_dsp::pipeline_enabled(),
                     fault: Some(InjectedFault { worker, at_tick }),
                 },
             )
@@ -830,7 +817,6 @@ mod tests {
                 cache_dir: None,
                 backend: WorkerBackend::Loopback,
                 checkpoints: false,
-                pipeline: vvd_dsp::pipeline_enabled(),
                 fault: Some(InjectedFault {
                     worker: 0,
                     at_tick: 2,

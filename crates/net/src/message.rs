@@ -8,7 +8,7 @@
 //! | [`AssignSessions`]         | coord → worker   | the worker's session subset + campaign config  |
 //! | [`TickBarrier`]            | both             | advance-up-to-N-ticks / progress ack           |
 //! | [`SessionReport`]          | worker → coord   | one session's full trace, bit-exact            |
-//! | [`CacheStats`]             | worker → coord   | end-of-run model-cache + batching accounting   |
+//! | [`CacheStats`]             | worker → coord   | end-of-run cache, batching + memo accounting   |
 //! | [`Message::Shutdown`]      | coord → worker   | orderly exit                                   |
 //! | [`Message::Error`]         | both             | typed failure, terminates the peer's run       |
 //! | [`CheckpointFrame`]        | worker → coord   | engine checkpoint frame, sent before each ack  |
@@ -24,7 +24,7 @@ use crate::wire::{Decoder, Encoder, WireCodec, WireError};
 use vvd_dsp::{Complex, FirFilter};
 use vvd_estimation::ModelCacheStats;
 use vvd_phy::DecodeOutcome;
-use vvd_serve::BatchCounters;
+use vvd_serve::{BatchCounters, SynthCounters};
 
 /// First frame a worker sends: proves the channel is alive and framed
 /// correctly before any work is assigned.
@@ -73,11 +73,6 @@ pub struct AssignSessions {
     /// barrier ack (the ready ack included), giving the coordinator a
     /// resume point for crash recovery.
     pub checkpoints: bool,
-    /// Whether the worker's engine runs the double-buffered tick pipeline
-    /// (`ServeOptions::pipeline`).  Pure scheduling — the setting cannot
-    /// change any reported bit — but the coordinator pins it explicitly so
-    /// a cluster never mixes ambient per-process env defaults.
-    pub pipeline: bool,
 }
 
 /// Coordinator → worker: advance your engine by up to `ticks` ticks.
@@ -114,7 +109,8 @@ pub struct SessionReport {
 
 /// End-of-run accounting a worker reports after its last session trace:
 /// the worker-local model-cache counters (disk hits against the shared
-/// directory included), batching counters and tick count.
+/// directory included), batching and synthesis-memo counters and tick
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Ticks the worker's engine processed.
@@ -123,6 +119,8 @@ pub struct CacheStats {
     pub cache: ModelCacheStats,
     /// The worker's inference-batching counters.
     pub batches: BatchCounters,
+    /// The worker's synthesis-memo counters.
+    pub synth: SynthCounters,
 }
 
 /// An engine checkpoint in transit: the worker's
@@ -291,7 +289,6 @@ impl WireCodec for AssignSessions {
         self.config_json.encode(enc);
         self.sessions.encode(enc);
         self.checkpoints.encode(enc);
-        self.pipeline.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(AssignSessions {
@@ -301,7 +298,6 @@ impl WireCodec for AssignSessions {
             config_json: String::decode(dec)?,
             sessions: Vec::<AssignedSession>::decode(dec)?,
             checkpoints: bool::decode(dec)?,
-            pipeline: bool::decode(dec)?,
         })
     }
 }
@@ -414,6 +410,9 @@ impl WireCodec for CacheStats {
         self.batches.batch_calls.encode(enc);
         self.batches.images.encode(enc);
         self.batches.max_batch.encode(enc);
+        self.synth.requests.encode(enc);
+        self.synth.syntheses.encode(enc);
+        self.synth.peak_resident_bytes.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(CacheStats {
@@ -429,6 +428,11 @@ impl WireCodec for CacheStats {
                 batch_calls: u64::decode(dec)?,
                 images: u64::decode(dec)?,
                 max_batch: usize::decode(dec)?,
+            },
+            synth: SynthCounters {
+                requests: u64::decode(dec)?,
+                syntheses: u64::decode(dec)?,
+                peak_resident_bytes: u64::decode(dec)?,
             },
         })
     }
@@ -455,7 +459,6 @@ mod tests {
                     combination: 0,
                 }],
                 checkpoints: true,
-                pipeline: true,
             }),
             Message::TickBarrier(TickBarrier {
                 ticks: 16,
@@ -493,6 +496,11 @@ mod tests {
                     images: 63,
                     max_batch: 8,
                 },
+                synth: SynthCounters {
+                    requests: 3200,
+                    syntheses: 100,
+                    peak_resident_bytes: 27 << 20,
+                },
             }),
             Message::Shutdown,
             Message::Error {
@@ -509,7 +517,6 @@ mod tests {
                     config_json: "{}".into(),
                     sessions: vec![],
                     checkpoints: true,
-                    pipeline: false,
                 },
                 frame: Some(vec![0xde, 0xad]),
             }),

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  = b"VVDN"
-//! 4       2     protocol version (little-endian u16, currently 1)
+//! 4       2     protocol version (little-endian u16, currently 2)
 //! 6       2     message kind     (little-endian u16)
 //! 8       4     payload length   (little-endian u32, <= MAX_FRAME_PAYLOAD)
 //! 12      n     payload          (message body, [`WireCodec`]-encoded)
@@ -33,7 +33,7 @@ use std::io::{Read, Write};
 pub const MAGIC: [u8; 4] = *b"VVDN";
 
 /// Version of the wire protocol (frame header field).
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on a frame's payload size (64 MiB).  Large enough for any
 /// serve trace the workspace produces, small enough that a corrupt or

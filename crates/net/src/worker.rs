@@ -108,6 +108,7 @@ pub fn run_worker<T: Transport>(transport: &mut T) -> Result<(), WireError> {
         ticks: report.ticks,
         cache: report.model_cache,
         batches: report.batches,
+        synth: report.synth,
     }))?;
 
     match transport.recv()? {
@@ -200,7 +201,6 @@ fn build_engine(
 
     let options = ServeOptions {
         shards: assign.shards.max(1) as usize,
-        pipeline: assign.pipeline,
     };
     match resume_frame {
         None => Ok(ServeEngine::new(workload, &options)),

@@ -59,10 +59,7 @@ fn worker_processes_reproduce_the_single_process_digest_at_1_2_and_4() {
     let specs = mixed_specs();
     let reference = serve(
         LoadGenerator::new(cfg).build(&specs).unwrap(),
-        &ServeOptions {
-            shards: 1,
-            ..ServeOptions::default()
-        },
+        &ServeOptions { shards: 1 },
     );
 
     for workers in [1usize, 2, 4] {
@@ -77,7 +74,6 @@ fn worker_processes_reproduce_the_single_process_digest_at_1_2_and_4() {
                 cache_dir: Some(cache_dir.clone()),
                 backend: WorkerBackend::Binary(worker_binary()),
                 checkpoints: false,
-                pipeline: vvd_dsp::pipeline_enabled(),
                 fault: None,
             },
         )

@@ -11,7 +11,7 @@ use vvd_net::message::{
 };
 use vvd_net::wire::{read_frame, write_frame, WireError, MAX_FRAME_PAYLOAD};
 use vvd_phy::DecodeOutcome;
-use vvd_serve::BatchCounters;
+use vvd_serve::{BatchCounters, SynthCounters};
 
 /// A random-but-valid message assembled from drawn primitives.  Floats are
 /// drawn as raw bit patterns (NaNs and infinities included), so round
@@ -48,7 +48,6 @@ fn build_message(selector: usize, words: &[u64], text: &str, flags: (bool, bool)
             })
             .collect(),
         checkpoints: flags.1,
-        pipeline: flags.0,
     };
     match selector % 9 {
         0 => Message::Hello(Hello { pid: word(0) }),
@@ -80,6 +79,11 @@ fn build_message(selector: usize, words: &[u64], text: &str, flags: (bool, bool)
                 batch_calls: word(6),
                 images: word(7),
                 max_batch: word(8) as usize,
+            },
+            synth: SynthCounters {
+                requests: word(9),
+                syntheses: word(10),
+                peak_resident_bytes: word(11),
             },
         }),
         5 => Message::Shutdown,
@@ -125,6 +129,11 @@ proptest! {
         let decoded = Message::decode_payload(kind, &unframed).unwrap();
         prop_assert_eq!(decoded.kind(), msg.kind());
         prop_assert_eq!(decoded.encode_payload(), payload);
+        // Float-free messages compare field by field too (the end-of-run
+        // counters, synthesis-memo counters included).
+        if let Message::CacheStats(_) = &msg {
+            prop_assert_eq!(&decoded, &msg);
+        }
     }
 
     /// Arbitrary byte soup never panics or hangs the frame reader: it
@@ -198,6 +207,24 @@ proptest! {
                     | WireError::TrailingBytes { .. }
             ),
             "cut at {} of {}: unexpected error {:?}", cut, framed.len(), err
+        );
+    }
+
+    /// The synthesis-memo counters close the `CacheStats` payload: a
+    /// payload cut anywhere inside them fails typed instead of decoding
+    /// short.
+    #[test]
+    fn cache_stats_cut_inside_the_synth_counters_fails_typed(
+        words in proptest::collection::vec(any::<u64>(), 1..12),
+        cut_back in 1usize..=24,
+    ) {
+        let msg = build_message(4, &words, "", (false, false));
+        let payload = msg.encode_payload();
+        let err = Message::decode_payload(msg.kind(), &payload[..payload.len() - cut_back])
+            .expect_err("a truncated CacheStats must not decode");
+        prop_assert!(
+            matches!(err, WireError::Truncated { .. }),
+            "cut {} bytes short: unexpected error {:?}", cut_back, err
         );
     }
 

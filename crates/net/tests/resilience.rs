@@ -54,10 +54,7 @@ fn a_killed_worker_process_is_resumed_with_an_identical_digest_at_1_2_and_4() {
     let specs = mixed_specs();
     let reference = serve(
         LoadGenerator::new(cfg).build(&specs).unwrap(),
-        &ServeOptions {
-            shards: 1,
-            ..ServeOptions::default()
-        },
+        &ServeOptions { shards: 1 },
     );
 
     for (workers, at_tick) in [(1usize, 2u64), (2, 2), (2, 4), (4, 2)] {
@@ -72,7 +69,6 @@ fn a_killed_worker_process_is_resumed_with_an_identical_digest_at_1_2_and_4() {
                 cache_dir: Some(cache_dir.clone()),
                 backend: WorkerBackend::Binary(worker_binary()),
                 checkpoints: true,
-                pipeline: vvd_dsp::pipeline_enabled(),
                 fault: Some(InjectedFault { worker: 0, at_tick }),
             },
         )
@@ -104,10 +100,7 @@ fn checkpoints_are_harmless_when_no_fault_fires() {
     let specs = mixed_specs();
     let reference = serve(
         LoadGenerator::new(cfg).build(&specs).unwrap(),
-        &ServeOptions {
-            shards: 1,
-            ..ServeOptions::default()
-        },
+        &ServeOptions { shards: 1 },
     );
     let report = serve_cluster(
         &cfg,
@@ -119,7 +112,6 @@ fn checkpoints_are_harmless_when_no_fault_fires() {
             cache_dir: None,
             backend: WorkerBackend::Binary(worker_binary()),
             checkpoints: true,
-            pipeline: vvd_dsp::pipeline_enabled(),
             fault: None,
         },
     )
@@ -141,7 +133,6 @@ fn a_killed_worker_process_without_checkpoints_is_a_final_wire_error() {
             cache_dir: None,
             backend: WorkerBackend::Binary(worker_binary()),
             checkpoints: false,
-            pipeline: vvd_dsp::pipeline_enabled(),
             fault: Some(InjectedFault {
                 worker: 1,
                 at_tick: 2,

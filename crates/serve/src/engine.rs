@@ -8,10 +8,12 @@
 //! priority queue is the natural upgrade once idle sessions dominate).
 //! Each tick runs three phases:
 //!
-//! 1. **Prepare** (parallel over shards): every due session regenerates
-//!    its packet's waveform, fits the preamble LS estimate and surfaces
-//!    its NN inference plan — the per-packet work that dominates CPU cost
-//!    besides the forward pass itself.
+//! 1. **Prepare** (parallel over shards): the synthesis memo
+//!    (`crate::memo`) synthesizes each distinct packet the due sessions
+//!    need that it does not already hold — waveform regeneration plus the
+//!    preamble LS fit, the per-packet work that dominates CPU cost besides
+//!    the forward pass itself — and every due session takes its packet's
+//!    products from the memo and surfaces its NN inference plan.
 //! 2. **Plan + batch** (sequential): the planner groups all plans by model
 //!    key and issues one `predict_batch` per distinct model
 //!    (`crate::planner`), scattering predictions back.
@@ -21,8 +23,9 @@
 //! # Determinism
 //!
 //! Every number the loop produces is independent of the shard count *and*
-//! of the arrival schedule: sessions share no mutable state, each phase
-//! visits each session exactly once, batch composition only affects how
+//! of the arrival schedule: sessions share no mutable state (the memo
+//! hands out immutable products of one pure routine), each phase visits
+//! each session exactly once, batch composition only affects how
 //! predictions are grouped — never their values (`predict_batch` is
 //! bit-identical to per-image prediction) — and traces are kept per
 //! session.  The serve golden test pins this down against the offline
@@ -35,7 +38,7 @@
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, EngineCheckpoint};
 use crate::loadgen::Workload;
-use crate::pipeline::{self, PrefetchBuffer};
+use crate::memo::{SynthMemo, SYNTH_BUDGET_BYTES};
 use crate::planner::{run_batched_inference, BatchCounters};
 use crate::report::{PhaseTimings, ServeReport};
 use crate::store::SessionStore;
@@ -44,24 +47,17 @@ use crate::timing::Stopwatch;
 /// Execution options of a serve run.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Number of shards (worker threads) the session store fans out over.
-    /// The default follows `vvd_dsp::worker_budget()` (the `VVD_WORKERS`
-    /// override included); any value produces bit-identical results.
+    /// Number of shards (worker threads) the session store and the
+    /// synthesis memo fan out over.  The default follows
+    /// `vvd_dsp::worker_budget()` (the `VVD_WORKERS` override included);
+    /// any value produces bit-identical results.
     pub shards: usize,
-    /// Whether the engine overlaps the *next* tick's DSP synthesis with
-    /// the current tick's batched inference (the double-buffered tick
-    /// pipeline, see `crate::pipeline`).  The default follows
-    /// `vvd_dsp::pipeline_enabled()` (the `VVD_PIPELINE` env knob, on
-    /// unless explicitly disabled); pipelining is pure scheduling, so
-    /// either value produces bit-identical results.
-    pub pipeline: bool,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             shards: vvd_dsp::worker_budget(),
-            pipeline: vvd_dsp::pipeline_enabled(),
         }
     }
 }
@@ -87,16 +83,14 @@ pub struct ServeEngine {
     store: SessionStore,
     cache: vvd_estimation::ModelCache,
     shards: usize,
-    pipeline: bool,
     ticks: u64,
     batches: BatchCounters,
     started: Stopwatch,
     phases: PhaseTimings,
-    /// Products the pipeline synthesized during the previous tick, waiting
-    /// to be stashed into their sessions when their tick starts.  Never
-    /// checkpointed: the buffer is transient and recomputable, so a resume
-    /// simply starts without one.
-    prefetch: Option<PrefetchBuffer>,
+    /// Each distinct packet's synthesized products, shared by every
+    /// session that streams it.  Never checkpointed: the memo is
+    /// recomputable, so a resume simply starts with an empty one.
+    memo: SynthMemo,
     policy: Option<CheckpointPolicy>,
 }
 
@@ -129,17 +123,31 @@ fn snapshot(
 impl ServeEngine {
     /// Wraps a built workload in a stepping engine.
     pub fn new(workload: Workload, options: &ServeOptions) -> Self {
-        let Workload { store, cache, .. } = workload;
+        Self::with_synth_budget(workload, options, SYNTH_BUDGET_BYTES)
+    }
+
+    /// [`new`](Self::new) with the synthesis memo retaining at most
+    /// `budget` bytes (the engine's own budget is `SYNTH_BUDGET_BYTES`).
+    pub(crate) fn with_synth_budget(
+        workload: Workload,
+        options: &ServeOptions,
+        budget: usize,
+    ) -> Self {
+        let Workload {
+            store,
+            cache,
+            campaigns,
+        } = workload;
+        let campaigns = campaigns.into_iter().map(|(_, c)| c).collect();
         ServeEngine {
             store,
             cache,
             shards: options.shards.max(1),
-            pipeline: options.pipeline,
             ticks: 0,
             batches: BatchCounters::default(),
             started: Stopwatch::start(),
             phases: PhaseTimings::default(),
-            prefetch: None,
+            memo: SynthMemo::new(campaigns, budget),
             policy: None,
         }
     }
@@ -222,106 +230,39 @@ impl ServeEngine {
     /// Runs one tick (prepare / batch-infer / complete over every due
     /// session).  Returns `false` — without ticking — once the workload is
     /// drained.
-    ///
-    /// With the pipeline on, the next tick's DSP synthesis runs on scope
-    /// threads while this tick's inference and commit phases execute; the
-    /// products rendezvous at the end of the tick and are consumed — in
-    /// tick order — by the next prepare phase.  Pure scheduling: every
-    /// result bit is identical with the pipeline on or off.
     pub fn step_tick(&mut self) -> bool {
         let Some(tick) = self.store.next_due_tick() else {
             return false;
         };
 
-        // Stash the previous tick's prefetched products (cheap moves; a
-        // buffer planned for a different tick — impossible in a steady run,
-        // conceivable only across exotic restarts — is simply dropped and
-        // the products recomputed inline).
-        if let Some(buffer) = self.prefetch.take() {
-            if buffer.tick == tick {
-                let sessions = self.store.sessions_mut();
-                for (idx, product) in buffer.items {
-                    sessions[idx].stash_synthesized(product);
-                }
-            }
-        }
-
-        // Phase 1: prepare every due session's packet (sharded),
-        // consuming prefetched products where available.
+        // Phase 1: synthesize the distinct packets the memo is missing,
+        // then prepare every due session's packet (both sharded).
         let sw = Stopwatch::start();
+        let keys = self.memo.fill(self.store.sessions(), tick, self.shards);
+        let memo = &self.memo;
         self.store.for_each_sharded(self.shards, |session| {
             if session.due(tick) {
-                session.prepare(tick);
+                let regen = session.next_synth_key().map(|key| memo.get(key));
+                session.prepare(tick, regen);
+            }
+        });
+        self.memo.release(&keys);
+        self.phases.dsp += sw.elapsed();
+
+        // Phase 2: one batched forward pass per distinct model.
+        let sw = Stopwatch::start();
+        self.batches
+            .absorb(run_batched_inference(self.store.sessions_mut()));
+        self.phases.infer += sw.elapsed();
+
+        // Phase 3: decode, score, observe (sharded).
+        let sw = Stopwatch::start();
+        self.store.for_each_sharded(self.shards, |session| {
+            if session.has_pending() {
+                session.complete();
             }
         });
         self.phases.dsp += sw.elapsed();
-
-        // Mid-tick, after prepare: every due session is pending, so the
-        // next tick and its due set are fully determined — plan its
-        // synthesis now, before any estimator state mutates.
-        let planned = if self.pipeline {
-            pipeline::plan_jobs(&self.store)
-        } else {
-            None
-        };
-
-        // Phases 2 + 3, with the next tick's synthesis overlapped on
-        // scope threads.  Jobs are plain data (Arc'd campaigns + indices),
-        // so the synth threads never touch a session while inference and
-        // commit mutate them.
-        let shards = self.shards;
-        let store = &mut self.store;
-        let batches = &mut self.batches;
-        let phases = &mut self.phases;
-        self.prefetch = std::thread::scope(|scope| {
-            let synth = planned.map(|(next_tick, mut jobs)| {
-                let threads = shards.min(jobs.len()).max(1);
-                let chunk_size = jobs.len().div_ceil(threads);
-                let mut handles = Vec::with_capacity(threads);
-                while !jobs.is_empty() {
-                    let rest = jobs.split_off(chunk_size.min(jobs.len()));
-                    let chunk = std::mem::replace(&mut jobs, rest);
-                    handles.push(scope.spawn(move || pipeline::run_jobs(chunk)));
-                }
-                (next_tick, handles)
-            });
-
-            // Phase 2: one batched forward pass per distinct model.
-            let sw = Stopwatch::start();
-            batches.absorb(run_batched_inference(store.sessions_mut()));
-            let infer = sw.elapsed();
-            phases.infer += infer;
-
-            // Phase 3: decode, score, observe (sharded).
-            let sw = Stopwatch::start();
-            store.for_each_sharded(shards, |session| {
-                if session.has_pending() {
-                    session.complete();
-                }
-            });
-            let commit = sw.elapsed();
-            phases.dsp += commit;
-
-            // Rendezvous: join the synth threads and buffer their
-            // products for the next tick.
-            synth.map(|(next_tick, handles)| {
-                let mut items = Vec::new();
-                let mut busy = std::time::Duration::ZERO;
-                for handle in handles {
-                    let (chunk_items, chunk_busy) =
-                        handle.join().expect("pipeline synth worker panicked");
-                    items.extend(chunk_items);
-                    busy = busy.max(chunk_busy);
-                }
-                let window = infer + commit;
-                phases.window += window;
-                phases.overlap += busy.min(window);
-                PrefetchBuffer {
-                    tick: next_tick,
-                    items,
-                }
-            })
-        });
 
         self.ticks += 1;
 
@@ -381,6 +322,7 @@ impl ServeEngine {
         )
         .expect("engine sessions are unique and id-ordered by construction");
         report.phases = self.phases;
+        report.synth = self.memo.counters();
         report
     }
 }
@@ -417,26 +359,18 @@ mod tests {
         let gen = LoadGenerator::new(cfg);
         let reference = serve(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
         for granularity in [1u64, 3, 7, 1000] {
             let workload = gen.build(&cheap_specs()).unwrap();
-            let mut engine = ServeEngine::new(
-                workload,
-                &ServeOptions {
-                    shards: 2,
-                    ..ServeOptions::default()
-                },
-            );
+            let mut engine = ServeEngine::new(workload, &ServeOptions { shards: 2 });
             assert!(!engine.finished());
             while !engine.finished() {
                 let processed = engine.run_ticks(granularity);
                 assert!(processed <= granularity);
             }
             assert_eq!(engine.run_ticks(5), 0, "a drained engine must not tick");
+            assert_eq!(engine.memo.resident_bytes(), 0, "granularity {granularity}");
             let report = engine.finish();
             assert_eq!(report.digest(), reference.digest());
             assert_eq!(report.ticks, reference.ticks);
@@ -448,13 +382,7 @@ mod tests {
     fn serve_drains_every_session_and_reports_consistently() {
         let cfg = tiny_config();
         let workload = LoadGenerator::new(cfg).build(&cheap_specs()).unwrap();
-        let report = serve(
-            workload,
-            &ServeOptions {
-                shards: 2,
-                ..ServeOptions::default()
-            },
-        );
+        let report = serve(workload, &ServeOptions { shards: 2 });
 
         assert_eq!(report.sessions.len(), 4);
         let per_session = cfg.packets_per_set;
@@ -480,19 +408,13 @@ mod tests {
         let gen = LoadGenerator::new(cfg);
         let reference = serve(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
 
         // Interrupt after 5 ticks, snapshot, resume in a fresh engine.
         let mut first = ServeEngine::new(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 2,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 2 },
         );
         assert_eq!(first.run_ticks(5), 5);
         let checkpoint = first.checkpoint().unwrap();
@@ -500,10 +422,7 @@ mod tests {
 
         let mut resumed = ServeEngine::resume(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 3,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 3 },
             &checkpoint,
         )
         .unwrap();
@@ -522,18 +441,12 @@ mod tests {
         let gen = LoadGenerator::new(cfg);
         let reference = serve(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
 
         let mut engine = ServeEngine::new(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 2,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 2 },
         )
         .with_checkpoints(Box::new(MemoryCheckpointStore::new()), 3);
         assert_eq!(engine.run_ticks(7), 7);
@@ -554,10 +467,7 @@ mod tests {
 
         let mut resumed = ServeEngine::resume(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
             &latest,
         )
         .unwrap();
@@ -573,10 +483,7 @@ mod tests {
         let gen = LoadGenerator::new(cfg);
         let mut engine = ServeEngine::new(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
         engine.run_ticks(2);
         let checkpoint = engine.checkpoint().unwrap();
@@ -586,10 +493,7 @@ mod tests {
         assert!(matches!(
             ServeEngine::resume(
                 gen.build(&fewer).unwrap(),
-                &ServeOptions {
-                    shards: 1,
-                    ..ServeOptions::default()
-                },
+                &ServeOptions { shards: 1 },
                 &checkpoint
             ),
             Err(CheckpointError::SessionCount { .. })
@@ -600,43 +504,11 @@ mod tests {
         assert!(matches!(
             ServeEngine::resume(
                 gen.build(&swapped).unwrap(),
-                &ServeOptions {
-                    shards: 1,
-                    ..ServeOptions::default()
-                },
+                &ServeOptions { shards: 1 },
                 &checkpoint
             ),
             Err(CheckpointError::SessionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn pipeline_on_and_off_produce_identical_digests() {
-        let cfg = tiny_config();
-        let gen = LoadGenerator::new(cfg);
-        let off = serve(
-            gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 2,
-                pipeline: false,
-            },
-        );
-        assert_eq!(off.phases.window, std::time::Duration::ZERO);
-        assert_eq!(off.phases.overlap_pct(), 0.0);
-        let on = serve(
-            gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 2,
-                pipeline: true,
-            },
-        );
-        assert_eq!(on.digest(), off.digest());
-        assert_eq!(on.ticks, off.ticks);
-        // The pipelined run actually prefetched: scored packets exist on
-        // every tick after the first, so overlap windows accumulated.
-        assert!(on.phases.window > std::time::Duration::ZERO);
-        assert!(on.phases.dsp > std::time::Duration::ZERO);
-        assert!((0.0..=100.0).contains(&on.phases.overlap_pct()));
     }
 
     #[test]
@@ -645,18 +517,12 @@ mod tests {
         let gen = LoadGenerator::new(cfg);
         let base = serve(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 1,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 1 },
         );
         // Different shard count.
         let sharded = serve(
             gen.build(&cheap_specs()).unwrap(),
-            &ServeOptions {
-                shards: 3,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 3 },
         );
         assert_eq!(base.digest(), sharded.digest());
         // Different arrival schedule (all sessions burst at tick 0, one
@@ -665,14 +531,112 @@ mod tests {
             .into_iter()
             .map(|s| s.every(1).offset(0))
             .collect();
-        let bursty = serve(
-            gen.build(&burst).unwrap(),
-            &ServeOptions {
-                shards: 2,
-                ..ServeOptions::default()
-            },
-        );
+        let bursty = serve(gen.build(&burst).unwrap(), &ServeOptions { shards: 2 });
         assert_eq!(base.digest(), bursty.digest());
         assert!(bursty.ticks < base.ticks);
+    }
+
+    /// Steps an engine until the workload drains — the loop of [`serve`].
+    fn drain(mut engine: ServeEngine) -> ServeEngine {
+        while engine.step_tick() {}
+        engine
+    }
+
+    #[test]
+    fn memo_synthesizes_each_distinct_packet_once() {
+        let cfg = tiny_config();
+        let gen = LoadGenerator::new(cfg);
+        let scored = (cfg.packets_per_set - cfg.kalman_warmup_packets) as u64;
+
+        // Three sessions replay one test stream at intervals 1, 2 and 3.
+        // Registry estimators regenerate exactly their scored packets.
+        let replay = [
+            SessionSpec::new("paper", "ground-truth"),
+            SessionSpec::new("paper", "standard").every(2),
+            SessionSpec::new("paper", "previous:100ms")
+                .every(3)
+                .offset(1),
+        ];
+        for shards in [1, 3] {
+            let report = serve(gen.build(&replay).unwrap(), &ServeOptions { shards });
+            assert_eq!(report.synth.requests, report.packets_served);
+            assert_eq!(report.synth.requests, 3 * scored);
+            assert_eq!(report.synth.syntheses, scored);
+            assert!(report.synth.peak_resident_bytes > 0);
+        }
+
+        // Sessions on distinct test sets share nothing.
+        let mut cfg = tiny_config();
+        cfg.n_combinations = 3;
+        let distinct = [
+            SessionSpec::new("paper", "ground-truth"),
+            SessionSpec::new("paper", "standard")
+                .combination(1)
+                .every(2),
+            SessionSpec::new("paper", "previous:100ms").combination(2),
+            SessionSpec::new("rayleigh:doppler=10", "ground-truth").every(3),
+        ];
+        let report = serve(
+            LoadGenerator::new(cfg).build(&distinct).unwrap(),
+            &ServeOptions { shards: 2 },
+        );
+        assert!(report.synth.requests > 0);
+        assert_eq!(report.synth.syntheses, report.synth.requests);
+    }
+
+    #[test]
+    fn memo_holds_nothing_once_the_workload_drains() {
+        let cfg = tiny_config();
+        let gen = LoadGenerator::new(cfg);
+        let options = ServeOptions { shards: 2 };
+
+        let engine = drain(ServeEngine::new(
+            gen.build(&cheap_specs()).unwrap(),
+            &options,
+        ));
+        assert_eq!(engine.memo.resident_bytes(), 0);
+        let reference = engine.finish();
+        assert!(reference.synth.peak_resident_bytes > 0);
+
+        // Resumed from a cut at the first, middle and last tick: demand is
+        // counted from the restored cursors, so products consumed before
+        // the cut are never waited for.
+        for cut in [1, reference.ticks / 2, reference.ticks - 1] {
+            let mut first = ServeEngine::new(gen.build(&cheap_specs()).unwrap(), &options);
+            assert_eq!(first.run_ticks(cut), cut);
+            let checkpoint = first.checkpoint().unwrap();
+            let resumed = drain(
+                ServeEngine::resume(gen.build(&cheap_specs()).unwrap(), &options, &checkpoint)
+                    .unwrap(),
+            );
+            assert_eq!(resumed.memo.resident_bytes(), 0, "cut after tick {cut}");
+            assert_eq!(resumed.finish().digest(), reference.digest());
+        }
+    }
+
+    #[test]
+    fn a_tiny_synthesis_budget_bounds_residency_without_changing_a_bit() {
+        let cfg = tiny_config();
+        let gen = LoadGenerator::new(cfg);
+        let options = ServeOptions { shards: 2 };
+        let unbounded = serve(gen.build(&cheap_specs()).unwrap(), &options);
+        let peak = unbounded.synth.peak_resident_bytes as usize;
+
+        for budget in [0, peak / 4, peak / 2] {
+            let mut engine = ServeEngine::with_synth_budget(
+                gen.build(&cheap_specs()).unwrap(),
+                &options,
+                budget,
+            );
+            while engine.step_tick() {
+                assert!(engine.memo.resident_bytes() <= budget);
+            }
+            let report = engine.finish();
+            assert!(report.synth.peak_resident_bytes as usize <= budget);
+            assert_eq!(report.digest(), unbounded.digest(), "budget {budget}");
+            assert_eq!(report.synth.requests, unbounded.synth.requests);
+            // Products that did not fit were synthesized again.
+            assert!(report.synth.syntheses > unbounded.synth.syntheses);
+        }
     }
 }

@@ -18,13 +18,14 @@
 //!   sessions hold `Arc`-clones of a single trained network.
 //! * [`SessionStore`] — owns the [`LinkSession`]s and shards each engine
 //!   phase over `std::thread::scope` workers.
-//! * The **tick pipeline** (`VVD_PIPELINE`, on by default) — double
-//!   buffering across ticks: while tick T's coalesced batch infers, scope
-//!   threads synthesize tick T+1's estimator-independent DSP products
-//!   (waveform regeneration + preamble LS), which the next prepare phase
-//!   consumes in tick order.  Pure scheduling: every digest is
-//!   bit-identical with the pipeline on or off, which the pipeline golden
-//!   pins at shard counts 1/2/8 and cluster sizes 1/2/4.
+//! * The **synthesis memo** (`SynthCounters`) — each distinct packet's
+//!   estimator-independent DSP products (waveform regeneration + preamble
+//!   LS) are synthesized once per engine and shared, behind an `Arc`, by
+//!   every session that streams the same test set.  Retention is
+//!   demand-counted (a product is dropped when its last consumer has
+//!   prepared it) and bounded by a fixed byte budget; since every product
+//!   is the output of one pure routine on immutable inputs, the memo never
+//!   changes a bit.
 //! * The **inference planner** (`BatchCounters` and friends) — coalesces
 //!   the NN forward passes all due sessions would run this tick, grouped
 //!   by the model's training-provenance
@@ -40,8 +41,9 @@
 //!   products are re-derived deterministically by the load generator and
 //!   only streaming position is restored.
 //! * [`serve`] / [`ServeReport`] — the tick loop and its accounting:
-//!   per-session PER/CER/MSE, throughput, batch occupancy and model-cache
-//!   counters, plus a stable outcome [`digest`](ServeReport::digest).
+//!   per-session PER/CER/MSE, throughput, batch occupancy, synthesis-memo
+//!   and model-cache counters, plus a stable outcome
+//!   [`digest`](ServeReport::digest).
 //!
 //! # Determinism
 //!
@@ -61,7 +63,7 @@
 pub mod checkpoint;
 pub mod engine;
 pub mod loadgen;
-mod pipeline;
+mod memo;
 pub mod planner;
 pub mod report;
 pub mod session;
@@ -74,6 +76,7 @@ pub use checkpoint::{
 };
 pub use engine::{serve, ServeEngine, ServeOptions};
 pub use loadgen::{mixed_session_specs, LoadGenerator, ServeSpecError, Workload};
+pub use memo::SynthCounters;
 pub use planner::BatchCounters;
 pub use report::{PhaseTimings, ReportAssemblyError, ServeReport, SessionReport};
 pub use session::{LinkSession, SessionSpec};

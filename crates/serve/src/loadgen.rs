@@ -68,7 +68,8 @@ pub struct Workload {
     /// end up in the serve report).
     pub cache: ModelCache,
     /// The distinct campaigns, keyed by their scenario spec (in spec
-    /// order).
+    /// order).  A campaign's index here is its *slot*, which keys the
+    /// engine's synthesis memo.
     pub campaigns: Vec<(String, Arc<Campaign>)>,
 }
 
@@ -202,6 +203,11 @@ impl LoadGenerator {
         for (id, spec) in assigned {
             let (id, spec) = (*id, spec);
             let campaign = Arc::clone(&campaigns[&spec.scenario]);
+            // The campaign's slot is its index in `Workload::campaigns`.
+            let campaign_slot = campaigns
+                .keys()
+                .position(|scenario| *scenario == spec.scenario)
+                .expect("every session's campaign was generated above");
             let combination = combos[spec.combination].clone();
             let cirs = training_cirs(&campaign, &combination);
             let source = CombinationDatasets::new(&campaign, &combination);
@@ -222,6 +228,7 @@ impl LoadGenerator {
                 spec.scenario.clone(),
                 label,
                 campaign,
+                campaign_slot,
                 combination,
                 estimator,
                 self.config.kalman_warmup_packets,

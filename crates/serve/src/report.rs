@@ -1,6 +1,7 @@
 //! Serve-run reporting: per-session quality, throughput, batching and
 //! cache accounting, plus a stable outcome digest.
 
+use crate::memo::SynthCounters;
 use crate::planner::BatchCounters;
 use std::error::Error;
 use std::fmt;
@@ -35,22 +36,15 @@ pub struct SessionReport {
 ///
 /// Pure observability: none of these numbers feed the
 /// [`digest`](ServeReport::digest), and they legitimately vary run to run.
-/// `dsp` covers the DSP-bound phases (packet prepare + decode/commit),
-/// `infer` the batched NN forward passes; when the tick pipeline is on,
-/// `overlap` is how much next-tick synthesis ran *concurrently* with the
-/// infer/commit window (`window`), i.e. DSP work the pipeline hid.
+/// `dsp` covers the DSP-bound phases (the synthesis memo's fill, packet
+/// prepare and decode/commit), `infer` the batched NN forward passes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Wall time spent in the DSP-bound phases (prepare + complete).
+    /// Wall time spent in the DSP-bound phases (synthesis, prepare,
+    /// complete).
     pub dsp: Duration,
     /// Wall time spent in the batched-inference phase.
     pub infer: Duration,
-    /// Next-tick synthesis time that overlapped the infer/commit window
-    /// (zero when the pipeline is off).
-    pub overlap: Duration,
-    /// Total infer/commit window during which synthesis could overlap
-    /// (zero when the pipeline is off or nothing was prefetchable).
-    pub window: Duration,
 }
 
 impl PhaseTimings {
@@ -62,16 +56,6 @@ impl PhaseTimings {
     /// Inference-phase wall time in milliseconds.
     pub fn infer_ms(&self) -> f64 {
         self.infer.as_secs_f64() * 1e3
-    }
-
-    /// Share of the infer/commit window that next-tick synthesis kept busy
-    /// concurrently, in percent (0 when the pipeline never overlapped).
-    pub fn overlap_pct(&self) -> f64 {
-        if self.window.is_zero() {
-            0.0
-        } else {
-            100.0 * self.overlap.as_secs_f64() / self.window.as_secs_f64()
-        }
     }
 }
 
@@ -97,6 +81,9 @@ pub struct ServeReport {
     pub packets_served: u64,
     /// Cross-session batching counters of the inference planner.
     pub batches: BatchCounters,
+    /// Counters of the synthesis memo (for a report merged from a
+    /// cluster, every worker's counters [absorbed](SynthCounters::absorb)).
+    pub synth: SynthCounters,
     /// Counters of the model cache shared across the workload's trainings.
     pub model_cache: ModelCacheStats,
     /// Wall-clock duration of the serve loop (excludes workload build).
@@ -244,6 +231,7 @@ impl ServeReport {
             packets_streamed,
             packets_served,
             batches,
+            synth: SynthCounters::default(),
             model_cache,
             wall,
             phases: PhaseTimings::default(),
@@ -361,6 +349,13 @@ impl fmt::Display for ServeReport {
             self.batches.images,
             self.batch_occupancy(),
             self.batches.max_batch,
+        )?;
+        writeln!(
+            f,
+            "synthesis memo: {} requests served by {} syntheses (peak {:.1} MiB resident)",
+            self.synth.requests,
+            self.synth.syntheses,
+            self.synth.peak_resident_bytes as f64 / (1024.0 * 1024.0),
         )?;
         writeln!(f, "model cache: {}", self.model_cache)?;
         for s in &self.sessions {

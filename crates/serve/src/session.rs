@@ -6,10 +6,11 @@
 //! the offline pipeline in `vvd_testbed::stream` does, but split into the
 //! two halves the engine interleaves across sessions:
 //!
-//! 1. [`LinkSession::prepare`] — regenerate the due packet's received
-//!    waveform, fit its preamble LS estimate, and ask the estimator for its
-//!    [`VvdInferencePlan`] (the NN forward pass it would run inline);
-//! 2. [`LinkSession::complete`] — decode the packet with
+//! 1. `LinkSession::prepare` — take the due packet's received waveform
+//!    and preamble LS estimate from the engine's synthesis memo, and ask
+//!    the estimator for its [`VvdInferencePlan`] (the NN forward pass it
+//!    would run inline);
+//! 2. `LinkSession::complete` — decode the packet with
 //!    `estimate_with_vvd` (consuming the batch-computed prediction, when
 //!    one was planned), score it, and feed the estimator its observation.
 //!
@@ -22,17 +23,17 @@
 //! or how many shards the store ran on.
 
 use crate::checkpoint::{CheckpointError, SessionCheckpoint};
+use crate::memo::{SynthKey, SynthesizedPacket};
 use std::sync::Arc;
 use vvd_core::VvdModel;
-use vvd_dsp::{CVec, FirFilter};
+use vvd_dsp::FirFilter;
 use vvd_estimation::decode::decode_with_reference;
 use vvd_estimation::estimator::{
     BoxedEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation, VvdInferencePlan,
 };
-use vvd_estimation::ls::preamble_estimate;
 use vvd_estimation::phase::align_mean_phase;
 use vvd_estimation::EqualizerConfig;
-use vvd_phy::{DecodeOutcome, ModulatedFrame, Receiver};
+use vvd_phy::{DecodeOutcome, Receiver};
 use vvd_testbed::stream::EstimatorTrace;
 use vvd_testbed::{Campaign, FrameRecord, SetCombination};
 use vvd_vision::DepthImage;
@@ -100,54 +101,16 @@ impl FrameSource for SetFrames<'_> {
     }
 }
 
-/// The estimator-independent DSP products of one packet: its regenerated
-/// received waveform and preamble LS fit.
-///
-/// These are pure functions of the `Arc`-shared immutable campaign and the
-/// packet index — no estimator state involved — which is what lets the
-/// tick pipeline synthesize them for tick T+1 on scope threads while tick
-/// T's batch infers: whenever they are computed, the bits are the same.
-pub(crate) struct SynthesizedPacket {
-    /// The packet (cursor) index the products belong to.
-    pub packet_index: usize,
-    /// The regenerated transmitted frame.
-    pub tx: ModulatedFrame,
-    /// The regenerated received waveform.
-    pub received: CVec,
-    /// The preamble LS channel fit (when the solve succeeded).
-    pub preamble_est: Option<FirFilter>,
-}
-
-/// Regenerates packet DSP products from campaign data — the single
-/// synthesis routine shared by the inline [`LinkSession::prepare`] path
-/// and the pipelined prefetch path, so both produce identical bits by
-/// construction.
-pub(crate) fn synthesize_packet(
-    campaign: &Campaign,
-    set: usize,
-    record_index: usize,
-    taps: usize,
-    packet_index: usize,
-) -> SynthesizedPacket {
-    let (tx, received) = campaign.received_waveform(set, record_index);
-    let preamble_est = preamble_estimate(&tx, received.as_slice(), taps).ok();
-    SynthesizedPacket {
-        packet_index,
-        tx,
-        received,
-        preamble_est,
-    }
-}
-
 /// Everything [`LinkSession::prepare`] computed for the due packet, handed
 /// through the planner to [`LinkSession::complete`].
 struct PendingPacket {
     packet_index: usize,
     score: bool,
-    /// `(tx, received, preamble LS estimate)` — present iff the packet is
-    /// scored or the estimator wants preamble observations (mirroring the
-    /// regeneration policy of the offline streaming core).
-    regen: Option<(ModulatedFrame, CVec, Option<FirFilter>)>,
+    /// The packet's synthesized products, shared with every other session
+    /// of the same test set — present iff the packet is scored or the
+    /// estimator wants preamble observations (mirroring the regeneration
+    /// policy of the offline streaming core).
+    regen: Option<Arc<SynthesizedPacket>>,
     /// The NN forward pass the estimator would run inline, if any.
     plan: Option<VvdInferencePlan>,
     /// The batch-computed output of `plan`, injected by the planner.
@@ -161,6 +124,9 @@ pub struct LinkSession {
     scenario: String,
     label: String,
     campaign: Arc<Campaign>,
+    /// The campaign's index in the workload (the first part of every
+    /// [`SynthKey`] of this session).
+    campaign_slot: usize,
     combination: SetCombination,
     estimator: BoxedEstimator,
     wants_preamble: bool,
@@ -169,10 +135,6 @@ pub struct LinkSession {
     next_due: u64,
     cursor: usize,
     pending: Option<PendingPacket>,
-    /// DSP products the tick pipeline synthesized ahead of time for the
-    /// next due packet.  Transient and recomputable: never checkpointed,
-    /// consumed (or dropped) by the next [`prepare`](Self::prepare).
-    prefetched: Option<SynthesizedPacket>,
     trace: EstimatorTrace,
 }
 
@@ -189,6 +151,7 @@ impl LinkSession {
         scenario: String,
         label: String,
         campaign: Arc<Campaign>,
+        campaign_slot: usize,
         combination: SetCombination,
         estimator: BoxedEstimator,
         score_from: usize,
@@ -201,6 +164,7 @@ impl LinkSession {
             scenario,
             label: label.clone(),
             campaign,
+            campaign_slot,
             combination,
             estimator,
             wants_preamble,
@@ -209,7 +173,6 @@ impl LinkSession {
             next_due: offset,
             cursor: 0,
             pending: None,
-            prefetched: None,
             trace: EstimatorTrace {
                 label,
                 scored: Vec::new(),
@@ -256,55 +219,41 @@ impl LinkSession {
         !self.finished() && self.next_due <= tick
     }
 
-    /// `true` when [`prepare`](Self::prepare) ran and
-    /// [`complete`](Self::complete) has not yet consumed its output.
+    /// `true` when `prepare` ran and `complete` has not yet consumed its
+    /// output.
     pub fn has_pending(&self) -> bool {
         self.pending.is_some()
     }
 
-    /// The streaming position `(cursor, next_due)` the session will hold
-    /// *after* its pending packet (if any) commits.
-    ///
-    /// [`complete`](Self::complete) advances the cursor by exactly one and
-    /// the due tick by exactly one interval, so mid-tick — after the
-    /// prepare phase has set every due session's pending flag — the next
-    /// tick's due set is fully determined by this projection.  That is the
-    /// lookahead the tick pipeline plans its prefetch from.
-    pub(crate) fn position_after_commit(&self) -> (usize, u64) {
-        if self.pending.is_some() {
-            (self.cursor + 1, self.next_due + self.interval)
-        } else {
-            (self.cursor, self.next_due)
-        }
-    }
-
-    /// `true` when packet `k` needs its waveform regenerated (it is scored
+    /// `true` when packet `k` needs its synthesized products (it is scored
     /// or the estimator consumes preamble observations) — the exact
-    /// condition [`prepare`](Self::prepare) regenerates under, exposed so
-    /// the pipeline only synthesizes products that will be consumed.
-    pub(crate) fn needs_regen(&self, k: usize) -> bool {
+    /// condition [`prepare`](Self::prepare) takes a product under.
+    fn needs_regen(&self, k: usize) -> bool {
         k >= self.score_from || self.wants_preamble
     }
 
-    /// The plain-data inputs a prefetch job needs to synthesize packet `k`
-    /// off-thread: `(campaign, test-set index, frame-record index, LS
-    /// taps)`.  All `Arc`-shared or `Copy`, so jobs never borrow the
-    /// session while the engine mutates it.
-    pub(crate) fn synth_inputs(&self, k: usize) -> (Arc<Campaign>, usize, usize, usize) {
-        let test_set = self.campaign.set(self.combination.test);
-        (
-            Arc::clone(&self.campaign),
-            self.combination.test,
-            test_set.packets[k].index,
-            self.campaign.config.equalizer.channel_taps,
-        )
+    /// The memo key of packet `k`'s products, or `None` when packet `k`
+    /// is served without them.
+    fn synth_key(&self, k: usize) -> Option<SynthKey> {
+        self.needs_regen(k).then(|| {
+            let test = self.combination.test;
+            (
+                self.campaign_slot,
+                test,
+                self.campaign.set(test).packets[k].index,
+            )
+        })
     }
 
-    /// Hands the session a pipeline-synthesized product for its next due
-    /// packet; the next [`prepare`](Self::prepare) consumes it instead of
-    /// recomputing (or drops it if the index does not match).
-    pub(crate) fn stash_synthesized(&mut self, product: SynthesizedPacket) {
-        self.prefetched = Some(product);
+    /// The memo key the next [`prepare`](Self::prepare) consumes, if any.
+    pub(crate) fn next_synth_key(&self) -> Option<SynthKey> {
+        self.synth_key(self.cursor)
+    }
+
+    /// One memo key per product the session has yet to consume, in
+    /// streaming order.
+    pub(crate) fn remaining_synth_keys(&self) -> impl Iterator<Item = SynthKey> + '_ {
+        (self.cursor..self.total_packets()).filter_map(|k| self.synth_key(k))
     }
 
     /// The accumulated trace (borrowed; see
@@ -393,51 +342,41 @@ impl LinkSession {
         Ok(())
     }
 
-    /// Phase 1 of serving the due packet: regenerate its waveform, fit the
-    /// preamble LS estimate, and record the estimator's inference plan.
+    /// Phase 1 of serving the due packet: take its synthesized products
+    /// (the memo's product for [`next_synth_key`](Self::next_synth_key))
+    /// and record the estimator's inference plan.
     ///
     /// # Panics
     /// Panics when no packet is due (the engine only calls this for due
-    /// sessions) or when a pending packet was never completed.
-    pub fn prepare(&mut self, tick: u64) {
+    /// sessions), when a pending packet was never completed, or when
+    /// `regen` is missing for a packet that needs products (or given for
+    /// one that does not).
+    pub(crate) fn prepare(&mut self, tick: u64, regen: Option<Arc<SynthesizedPacket>>) {
         assert!(self.due(tick), "prepare() without a due packet");
         assert!(
             self.pending.is_none(),
             "prepare() with an unconsumed pending packet"
         );
         let k = self.cursor;
+        assert_eq!(
+            regen.is_some(),
+            self.needs_regen(k),
+            "prepare() takes products exactly for regenerated packets"
+        );
         let score = k >= self.score_from;
         let test_set = self.campaign.set(self.combination.test);
         let record = &test_set.packets[k];
-
-        let regen = if score || self.wants_preamble {
-            // Consume the pipeline-synthesized product when it matches;
-            // synthesize inline otherwise.  Both paths run the same
-            // routine on the same immutable inputs, so the bits are
-            // identical either way — prefetching is pure scheduling.
-            let product = match self.prefetched.take() {
-                Some(p) if p.packet_index == k => p,
-                _ => {
-                    let taps = self.campaign.config.equalizer.channel_taps;
-                    synthesize_packet(&self.campaign, self.combination.test, record.index, taps, k)
-                }
-            };
-            Some((product.tx, product.received, product.preamble_est))
-        } else {
-            self.prefetched = None;
-            None
-        };
 
         // The inference plan is only collected for packets the engine will
         // actually decode — unscored (warm-up) packets never call
         // `estimate` in the offline pipeline either.
         let plan = if score {
-            let (_, _, preamble_est) = regen.as_ref().expect("scored packets are regenerated");
+            let product = regen.as_ref().expect("scored packets are regenerated");
             let frames = SetFrames(&test_set.frames);
             let request = EstimateRequest {
                 packet_index: k,
                 perfect_cir: &record.perfect_cir,
-                preamble_estimate: preamble_est.as_ref(),
+                preamble_estimate: product.preamble_est.as_ref(),
                 preamble_detected: record.preamble_detected,
                 frame_index: record.frame_index,
                 frames: &frames,
@@ -493,7 +432,7 @@ impl LinkSession {
     ///
     /// # Panics
     /// Panics when [`prepare`](Self::prepare) has not run for this packet.
-    pub fn complete(&mut self) {
+    pub(crate) fn complete(&mut self) {
         let pending = self
             .pending
             .take()
@@ -507,10 +446,12 @@ impl LinkSession {
 
         if pending.score {
             let receiver = Receiver::new(cfg.phy);
-            let (tx, received, preamble_est) = pending
+            let product = pending
                 .regen
-                .as_ref()
+                .as_deref()
                 .expect("scored packets are regenerated");
+            let (tx, received, preamble_est) =
+                (&product.tx, &product.received, &product.preamble_est);
             let request = EstimateRequest {
                 packet_index: k,
                 perfect_cir: &record.perfect_cir,
@@ -567,7 +508,10 @@ impl LinkSession {
             perfect_cir: &record.perfect_cir,
             aligned_cir: &record.aligned_cir,
             preamble_estimate: if self.wants_preamble {
-                pending.regen.as_ref().and_then(|(_, _, pre)| pre.as_ref())
+                pending
+                    .regen
+                    .as_ref()
+                    .and_then(|product| product.preamble_est.as_ref())
             } else {
                 None
             },

@@ -339,8 +339,9 @@ impl Campaign {
 
 /// Maps `f` over `items` on up to `workers` scoped threads, preserving
 /// input order.  `f` must be pure per item — with that, the output is
-/// identical at every worker count.
-fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
+/// identical at every worker count.  Campaign generation and the serve
+/// engine's synthesis memo both fan waveform synthesis out through it.
+pub fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,

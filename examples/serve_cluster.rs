@@ -78,7 +78,6 @@ fn main() {
                 cache_dir: Some(cache_dir.clone()),
                 backend: WorkerBackend::SelfExec,
                 checkpoints: false,
-                pipeline: vvd::dsp::pipeline_enabled(),
                 fault: None,
             },
         )

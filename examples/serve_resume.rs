@@ -61,7 +61,6 @@ fn main() {
         cache_dir: None,
         backend: WorkerBackend::SelfExec,
         checkpoints: fault,
-        pipeline: vvd::dsp::pipeline_enabled(),
         fault: fault.then_some(InjectedFault {
             worker: 0,
             at_tick: 4,

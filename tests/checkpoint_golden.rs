@@ -93,26 +93,14 @@ fn resume_at_first_mid_and_last_tick_matches_the_uninterrupted_digest() {
     let campaigns = golden_campaigns();
 
     // The uninterrupted reference.
-    let reference = serve(
-        build_workload(&campaigns),
-        &ServeOptions {
-            shards: 2,
-            ..ServeOptions::default()
-        },
-    );
+    let reference = serve(build_workload(&campaigns), &ServeOptions { shards: 2 });
     let total_ticks = reference.ticks;
     assert!(total_ticks > 2, "campaign too small to split");
 
     // T = 0 (nothing served yet), mid-stream, and the final tick (the
     // engine is already drained; resume must be a no-op replay).
     for at_tick in [0, total_ticks / 2, total_ticks] {
-        let mut engine = ServeEngine::new(
-            build_workload(&campaigns),
-            &ServeOptions {
-                shards: 2,
-                ..ServeOptions::default()
-            },
-        );
+        let mut engine = ServeEngine::new(build_workload(&campaigns), &ServeOptions { shards: 2 });
         engine.run_ticks(at_tick);
         assert_eq!(engine.ticks(), at_tick);
         let frame = engine
@@ -126,10 +114,7 @@ fn resume_at_first_mid_and_last_tick_matches_the_uninterrupted_digest() {
         let checkpoint = EngineCheckpoint::from_frame(&frame).expect("own frame decodes");
         let mut resumed = ServeEngine::resume(
             build_workload(&campaigns),
-            &ServeOptions {
-                shards: 5,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 5 },
             &checkpoint,
         )
         .expect("own checkpoint resumes");
@@ -168,10 +153,7 @@ fn helper_resume_from_disk_in_child_process() {
         .expect("the parent saved at least one frame");
     let mut engine = ServeEngine::resume(
         build_workload(&golden_campaigns()),
-        &ServeOptions {
-            shards: 3,
-            ..ServeOptions::default()
-        },
+        &ServeOptions { shards: 3 },
         &checkpoint,
     )
     .expect("checkpoint from the parent process resumes");
@@ -188,27 +170,15 @@ fn helper_resume_from_disk_in_child_process() {
 #[test]
 fn resume_in_a_fresh_process_matches_the_uninterrupted_digest() {
     let campaigns = golden_campaigns();
-    let reference = serve(
-        build_workload(&campaigns),
-        &ServeOptions {
-            shards: 2,
-            ..ServeOptions::default()
-        },
-    );
+    let reference = serve(build_workload(&campaigns), &ServeOptions { shards: 2 });
 
     // Run the first half with a periodic on-disk checkpoint policy, then
     // abandon the engine — the "crash".
     let dir = temp_dir("proc");
     let _ = std::fs::remove_dir_all(&dir);
     let store = DirCheckpointStore::new(&dir).expect("temp dir is creatable");
-    let mut engine = ServeEngine::new(
-        build_workload(&campaigns),
-        &ServeOptions {
-            shards: 2,
-            ..ServeOptions::default()
-        },
-    )
-    .with_checkpoints(Box::new(store), 3);
+    let mut engine = ServeEngine::new(build_workload(&campaigns), &ServeOptions { shards: 2 })
+        .with_checkpoints(Box::new(store), 3);
     engine.run_ticks(reference.ticks / 2);
     assert!(
         engine.checkpoint_error().is_none(),
@@ -244,13 +214,7 @@ fn disk_store_surfaces_typed_errors_and_heals_to_the_previous_good_frame() {
     let mut store = DirCheckpointStore::new(&dir).expect("temp dir is creatable");
 
     // Two good frames at ticks 2 and 4.
-    let mut engine = ServeEngine::new(
-        build_workload(&campaigns),
-        &ServeOptions {
-            shards: 1,
-            ..ServeOptions::default()
-        },
-    );
+    let mut engine = ServeEngine::new(build_workload(&campaigns), &ServeOptions { shards: 1 });
     engine.run_ticks(2);
     store
         .save(&engine.checkpoint().expect("tick boundary"))
@@ -299,19 +263,10 @@ fn disk_store_surfaces_typed_errors_and_heals_to_the_previous_good_frame() {
     assert_eq!(healed.to_frame(), good.to_frame(), "healed frame differs");
 
     // And the healed frame is actually resumable to the reference digest.
-    let reference = serve(
-        build_workload(&campaigns),
-        &ServeOptions {
-            shards: 1,
-            ..ServeOptions::default()
-        },
-    );
+    let reference = serve(build_workload(&campaigns), &ServeOptions { shards: 1 });
     let mut resumed = ServeEngine::resume(
         build_workload(&campaigns),
-        &ServeOptions {
-            shards: 1,
-            ..ServeOptions::default()
-        },
+        &ServeOptions { shards: 1 },
         &healed,
     )
     .expect("healed checkpoint resumes");

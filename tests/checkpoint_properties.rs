@@ -89,13 +89,7 @@ fn every_technique_round_trips_to_a_byte_identical_frame() {
 
     // Checkpoint at several depths: untouched, mid-stream, drained.
     for at_tick in [0u64, 5, u64::MAX] {
-        let mut engine = ServeEngine::new(
-            build_workload(&specs),
-            &ServeOptions {
-                shards: 2,
-                ..ServeOptions::default()
-            },
-        );
+        let mut engine = ServeEngine::new(build_workload(&specs), &ServeOptions { shards: 2 });
         engine.run_ticks(at_tick);
         let first = engine
             .checkpoint()
@@ -104,10 +98,7 @@ fn every_technique_round_trips_to_a_byte_identical_frame() {
 
         let resumed = ServeEngine::resume(
             build_workload(&specs),
-            &ServeOptions {
-                shards: 4,
-                ..ServeOptions::default()
-            },
+            &ServeOptions { shards: 4 },
             &EngineCheckpoint::from_frame(&first).expect("own frame decodes"),
         )
         .expect("own checkpoint resumes");
@@ -154,12 +145,12 @@ proptest! {
             })
             .collect();
 
-        let reference = serve(build_workload(&specs), &ServeOptions { shards: 1, ..ServeOptions::default() });
+        let reference = serve(build_workload(&specs), &ServeOptions { shards: 1 });
         let cut = ((reference.ticks as f64) * cut_fraction).floor() as u64;
 
         let mut engine = ServeEngine::new(
             build_workload(&specs),
-            &ServeOptions { shards: shards_before, ..ServeOptions::default() },
+            &ServeOptions { shards: shards_before },
         );
         engine.run_ticks(cut);
         let frame = engine
@@ -170,7 +161,7 @@ proptest! {
 
         let mut resumed = ServeEngine::resume(
             build_workload(&specs),
-            &ServeOptions { shards: shards_after, ..ServeOptions::default() },
+            &ServeOptions { shards: shards_after },
             &EngineCheckpoint::from_frame(&frame).expect("own frame decodes"),
         )
         .expect("own checkpoint resumes");

@@ -132,13 +132,7 @@ fn serve_matches_the_sequential_pipeline_at_shard_counts_1_2_and_8() {
             generator = generator.with_campaign(spec.clone(), Arc::clone(campaign));
         }
         let workload = generator.build(&specs).unwrap();
-        let report = serve(
-            workload,
-            &ServeOptions {
-                shards,
-                ..ServeOptions::default()
-            },
-        );
+        let report = serve(workload, &ServeOptions { shards });
 
         assert_eq!(report.traces.len(), specs.len());
         for ((trace, reference), spec) in report.traces.iter().zip(&references).zip(&specs) {
@@ -182,13 +176,7 @@ fn batched_inference_issues_fewer_forward_calls_than_packets_served() {
         .with_campaign("paper", Arc::clone(&campaign))
         .build(&specs)
         .unwrap();
-    let report = serve(
-        workload,
-        &ServeOptions {
-            shards: 2,
-            ..ServeOptions::default()
-        },
-    );
+    let report = serve(workload, &ServeOptions { shards: 2 });
 
     // One training, shared by all eight sessions.
     assert_eq!(report.model_cache.misses, 1, "{}", report.model_cache);

@@ -66,13 +66,7 @@ fn run_digest(heads: &[usize], schedule: &[(u64, u64)], shards: usize) -> (u64, 
         .with_campaign("paper", shared_campaign())
         .build(&build_specs(heads, schedule))
         .unwrap();
-    let report = serve(
-        workload,
-        &ServeOptions {
-            shards,
-            ..ServeOptions::default()
-        },
-    );
+    let report = serve(workload, &ServeOptions { shards });
     (report.digest(), report.packets_streamed)
 }
 
@@ -144,7 +138,6 @@ proptest! {
                 cache_dir: None,
                 backend: WorkerBackend::Loopback,
                 checkpoints: false,
-                pipeline: vvd::dsp::pipeline_enabled(),
                 fault: None,
             },
         )
