@@ -1,5 +1,5 @@
 //! Fixture: an ambient env read outside the designated config modules.
-//! Registered variables (`VVD_WORKERS`, `VVD_AUTOTUNE_DIR`) get no
+//! Registered variables (`VVD_WORKERS`, `VVD_CHECKPOINT_TICKS`) get no
 //! dispensation, and neither does an unregistered one (`VVD_PIPELINE`):
 //! the allowlist is the *module that owns the read*, never the variable
 //! name.
@@ -15,6 +15,6 @@ pub fn pipeline() -> bool {
     std::env::var("VVD_PIPELINE").is_ok()
 }
 
-pub fn autotune_dir() -> Option<String> {
-    std::env::var("VVD_AUTOTUNE_DIR").ok()
+pub fn checkpoint_ticks() -> Option<String> {
+    std::env::var("VVD_CHECKPOINT_TICKS").ok()
 }

@@ -146,8 +146,8 @@ impl Default for Config {
             .map(str::to_string)
             .to_vec(),
             env_modules: [
-                // VVD_WORKERS / VVD_PROCS / VVD_CHECKPOINT_TICKS /
-                // VVD_AUTOTUNE_DIR — the execution-policy knobs.
+                // VVD_WORKERS / VVD_PROCS / VVD_CHECKPOINT_TICKS — the
+                // execution-policy knobs.
                 "crates/dsp/src/workers.rs",
                 // VVD_BENCH_PRESET — bench campaign scale.
                 "crates/bench/src/lib.rs",
@@ -157,17 +157,11 @@ impl Default for Config {
             .map(str::to_string)
             .to_vec(),
             bench_crates: vec!["bench".to_string()],
-            timing_modules: [
-                // GEMM autotune sweeps: wall time picks tile sizes, every
-                // candidate is bit-identical, so speed never leaks into
-                // results.
-                "crates/nn/src/kernels/autotune.rs",
-                // The serve engine's phase stopwatch: report-only
-                // dsp/infer timings, excluded from digests.
-                "crates/serve/src/timing.rs",
-            ]
-            .map(str::to_string)
-            .to_vec(),
+            timing_modules: vec![
+                // The serve stopwatch: report-only phase and cluster wall
+                // timings, excluded from digests.
+                "crates/serve/src/timing.rs".to_string(),
+            ],
         }
     }
 }
@@ -637,11 +631,6 @@ mod tests {
             "fn f() { let _t = std::time::Instant::now(); }\n"
         )
         .is_empty());
-        assert!(run(
-            "crates/nn/src/kernels/autotune.rs",
-            "fn f() { let _t = std::time::Instant::now(); }\n"
-        )
-        .is_empty());
     }
 
     #[test]
@@ -659,8 +648,8 @@ mod tests {
     fn pipeline_env_read_outside_workers_module_fires() {
         // Only crates/dsp/src/workers.rs may read the environment: a stray
         // read anywhere else is an ambient-env violation regardless of the
-        // variable's name, registered knob (VVD_AUTOTUNE_DIR) or not
-        // (VVD_PIPELINE).
+        // variable's name, registered knob (VVD_CHECKPOINT_TICKS, read
+        // from a sibling of workers.rs) or not (VVD_PIPELINE).
         let f = run(
             "crates/serve/src/engine.rs",
             "fn f() -> bool { std::env::var(\"VVD_PIPELINE\").is_ok() }\n",
@@ -668,8 +657,8 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::AmbientEnv);
         let f = run(
-            "crates/nn/src/kernels/autotune.rs",
-            "fn f() -> bool { std::env::var(\"VVD_AUTOTUNE_DIR\").is_ok() }\n",
+            "crates/dsp/src/fir.rs",
+            "fn f() -> bool { std::env::var(\"VVD_CHECKPOINT_TICKS\").is_ok() }\n",
         );
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::AmbientEnv);

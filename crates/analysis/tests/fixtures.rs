@@ -86,7 +86,7 @@ fn allowed_fixtures_are_waived() {
 
 #[test]
 fn every_registered_env_var_fires_when_read_outside_its_module() {
-    // VVD_WORKERS and VVD_AUTOTUNE_DIR are registered to
+    // VVD_WORKERS and VVD_CHECKPOINT_TICKS are registered to
     // crates/dsp/src/workers.rs, VVD_PIPELINE to no module at all —
     // reading any of them from unregistered code is one finding per read
     // site.

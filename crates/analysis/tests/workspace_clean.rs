@@ -8,7 +8,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use vvd_analyze::{analyze_workspace, Config};
+use vvd_analyze::{analyze_workspace, scan_set, Config};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -28,6 +28,29 @@ fn live_workspace_has_zero_findings() {
         "the workspace violates its own determinism invariants:\n{}",
         report.human()
     );
+}
+
+#[test]
+fn serve_stopwatch_is_the_only_clock_and_no_source_is_waived() {
+    // One wall-clock module, and every other hazard fixed rather than
+    // waived.  The analyzer's own sources are exempt: they quote the
+    // waiver grammar in docs and test strings.
+    assert_eq!(
+        Config::default().timing_modules,
+        ["crates/serve/src/timing.rs"]
+    );
+    let root = workspace_root();
+    for rel in scan_set(&root).expect("workspace sources are readable") {
+        if rel.starts_with("crates/analysis") {
+            continue;
+        }
+        let source = std::fs::read_to_string(root.join(&rel)).expect("source is readable");
+        assert!(
+            !source.contains("vvd-allow:"),
+            "{} carries a vvd-allow waiver",
+            rel.display()
+        );
+    }
 }
 
 #[test]

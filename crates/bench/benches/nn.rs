@@ -6,12 +6,11 @@
 //! kernels on the quick-preset architecture; the cache targets show what a
 //! content-addressed hit saves relative to retraining the same provenance.
 //!
-//! The binary also snapshots the GEMM autotuner: for one representative
-//! shape class per orientation it sweeps every candidate tile
-//! (`autotune::tune_now`), then times the default tiles against the
-//! sweep's winner.  Set `VVD_BENCH_JSON=<path>` to write the comparison as
-//! a JSON snapshot (`BENCH_nn.json` at the repo root is the committed
-//! reference of the tiny preset).
+//! Before the criterion targets the binary times the GEMM shapes the
+//! workloads run, best of several repetitions each.  Set
+//! `VVD_BENCH_JSON=<path>` to write those timings as a JSON snapshot
+//! (`BENCH_nn.json` at the repo root is the committed reference of the
+//! tiny preset).
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
@@ -19,6 +18,7 @@ use rand::SeedableRng;
 use vvd_core::{build_vvd_cnn, ModelKey, VvdConfig, VvdDataset, VvdModel, VvdSample, VvdVariant};
 use vvd_dsp::{Complex, FirFilter};
 use vvd_estimation::ModelCache;
+use vvd_nn::kernels::{gemm, gemm_at, gemm_bt};
 use vvd_nn::loss::mse;
 use vvd_nn::{Nadam, Tensor, TrainConfig, Trainer};
 use vvd_vision::DepthImage;
@@ -143,75 +143,63 @@ fn bench_model_cache(c: &mut Criterion) {
     });
 }
 
-/// One tuned-vs-default autotune comparison, ready for the JSON snapshot.
-struct TunedShape {
+/// A GEMM entry point: `(a, b, m, k, n) -> c`.
+type Gemm = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
+
+/// The GEMM shapes the workloads run, `(op, kernel, m, k, n)` at the quick-preset
+/// architecture: the first and second conv layers' forward passes and the
+/// second one's backward-data pass on a 16-image training batch, and the
+/// dense layer's forward pass over 90 images.  The first three take the
+/// column-panelled branch of the kernels; the last fits in cache.
+const GEMM_SHAPES: [(&str, Gemm, usize, usize, usize); 4] = [
+    ("nn", gemm, 8, 9, 67584),
+    ("nn", gemm, 8, 72, 14784),
+    ("at", gemm_at, 72, 8, 14784),
+    ("bt", gemm_bt, 90, 288, 64),
+];
+
+/// Timed repetitions per shape; the minimum is reported.
+const GEMM_REPS: usize = 15;
+
+/// One GEMM timing, ready for the JSON snapshot.
+struct GemmTiming {
     op: &'static str,
     m: usize,
     k: usize,
     n: usize,
-    tiles: vvd_nn::kernels::autotune::GemmTiles,
-    default_ms: f64,
-    tuned_ms: f64,
+    best_ms: f64,
 }
 
-/// Sweeps the autotuner on one representative shape per GEMM orientation
-/// (sizes the serve path's batched forward/backward passes make hot) and
-/// times the default tiles against each sweep winner.
-fn autotune_snapshot() -> Vec<TunedShape> {
-    use vvd_nn::kernels::autotune::{tune_now, GemmOp, DEFAULT_TILES};
-    use vvd_nn::kernels::{gemm_at_tiled, gemm_bt_tiled, gemm_tiled};
-
-    let shapes = [
-        (GemmOp::Nn, "nn", 16usize, 512usize, 256usize),
-        (GemmOp::At, "at", 256, 16, 512),
-        (GemmOp::Bt, "bt", 16, 256, 512),
-    ];
-    let mut rows = Vec::new();
-    for (op, name, m, k, n) in shapes {
-        let (a_len, b_len) = match op {
-            GemmOp::Nn => (m * k, k * n),
-            GemmOp::At => (k * m, k * n),
-            GemmOp::Bt => (m * k, n * k),
-        };
-        let a: Vec<f32> = (0..a_len).map(|i| ((i as f32) * 0.29).sin()).collect();
-        let b: Vec<f32> = (0..b_len).map(|i| ((i as f32) * 0.41).cos()).collect();
-        let tiles = tune_now(op, m, k, n);
-        let time = |t| {
+/// Best-of-[`GEMM_REPS`] wall time of each shape in [`GEMM_SHAPES`].
+fn gemm_timings() -> Vec<GemmTiming> {
+    GEMM_SHAPES
+        .iter()
+        .map(|&(op, kernel, m, k, n)| {
+            // Every orientation reads m·k and k·n operand elements.
+            let a: Vec<f32> = (0..m * k).map(|i| ((i as f32) * 0.29).sin()).collect();
+            let b: Vec<f32> = (0..k * n).map(|i| ((i as f32) * 0.41).cos()).collect();
             let mut best = std::time::Duration::MAX;
-            for _ in 0..3 {
+            for _ in 0..GEMM_REPS {
                 let start = std::time::Instant::now();
-                let c = match op {
-                    GemmOp::Nn => gemm_tiled(&a, &b, m, k, n, t),
-                    GemmOp::At => gemm_at_tiled(&a, &b, m, k, n, t),
-                    GemmOp::Bt => gemm_bt_tiled(&a, &b, m, k, n, t),
-                };
+                let c = kernel(&a, &b, m, k, n);
                 let elapsed = start.elapsed();
                 std::hint::black_box(c);
                 best = best.min(elapsed);
             }
-            best.as_secs_f64() * 1e3
-        };
-        let default_ms = time(DEFAULT_TILES);
-        let tuned_ms = time(tiles);
-        println!(
-            "autotune {name} {m}x{k}x{n}: default {default_ms:.3}ms, tuned {tuned_ms:.3}ms \
-             (row_block {}, col_block {})",
-            tiles.row_block, tiles.col_block,
-        );
-        rows.push(TunedShape {
-            op: name,
-            m,
-            k,
-            n,
-            tiles,
-            default_ms,
-            tuned_ms,
-        });
-    }
-    rows
+            let best_ms = best.as_secs_f64() * 1e3;
+            println!("gemm {op} {m}x{k}x{n}: best of {GEMM_REPS} {best_ms:.3}ms");
+            GemmTiming {
+                op,
+                m,
+                k,
+                n,
+                best_ms,
+            }
+        })
+        .collect()
 }
 
-fn write_snapshot(rows: &[TunedShape]) {
+fn write_snapshot(rows: &[GemmTiming]) {
     let Ok(path) = std::env::var("VVD_BENCH_JSON") else {
         return;
     };
@@ -225,20 +213,14 @@ fn write_snapshot(rows: &[TunedShape]) {
                     "      \"m\": {m},\n",
                     "      \"k\": {k},\n",
                     "      \"n\": {n},\n",
-                    "      \"row_block\": {row},\n",
-                    "      \"col_block\": {col},\n",
-                    "      \"default_ms\": {default_ms:.3},\n",
-                    "      \"tuned_ms\": {tuned_ms:.3}\n",
+                    "      \"best_ms\": {best_ms:.3}\n",
                     "    }}"
                 ),
                 op = r.op,
                 m = r.m,
                 k = r.k,
                 n = r.n,
-                row = r.tiles.row_block,
-                col = r.tiles.col_block,
-                default_ms = r.default_ms,
-                tuned_ms = r.tuned_ms,
+                best_ms = r.best_ms,
             )
         })
         .collect();
@@ -247,10 +229,12 @@ fn write_snapshot(rows: &[TunedShape]) {
             "{{\n",
             "  \"bench\": \"nn\",\n",
             "  \"preset\": {preset:?},\n",
-            "  \"autotune\": [\n{entries}\n  ]\n",
+            "  \"gemm_reps\": {reps},\n",
+            "  \"gemm\": [\n{entries}\n  ]\n",
             "}}\n"
         ),
         preset = std::env::var("VVD_BENCH_PRESET").unwrap_or_else(|_| "tiny".to_string()),
+        reps = GEMM_REPS,
         entries = entries.join(",\n"),
     );
     std::fs::write(&path, json).expect("snapshot path is writable");
@@ -264,7 +248,7 @@ criterion_group! {
 }
 
 fn main() {
-    let rows = autotune_snapshot();
+    let rows = gemm_timings();
     write_snapshot(&rows);
     benches();
 }

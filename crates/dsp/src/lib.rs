@@ -37,6 +37,4 @@ pub use correlation::{autocorrelation, autocorrelation_coefficients, cross_corre
 pub use cvec::CVec;
 pub use fir::FirFilter;
 pub use solve::{least_squares, solve_linear};
-pub use workers::{
-    autotune_dir, checkpoint_interval, per_process_worker_budget, proc_budget, worker_budget,
-};
+pub use workers::{checkpoint_interval, per_process_worker_budget, proc_budget, worker_budget};

@@ -39,13 +39,6 @@ pub const PROCS_ENV: &str = "VVD_PROCS";
 /// policy — checkpointing is opt-in, like multi-process serving.
 pub const CHECKPOINT_TICKS_ENV: &str = "VVD_CHECKPOINT_TICKS";
 
-/// Name of the environment variable mounting the on-disk GEMM autotune
-/// layer: when set to a directory path, tuned block-size winners are
-/// persisted there (one tiny file per shape class) and re-loaded by later
-/// processes, so a fleet of worker processes sweeps each shape class once
-/// instead of once per process.  Unset means in-memory memoization only.
-pub const AUTOTUNE_DIR_ENV: &str = "VVD_AUTOTUNE_DIR";
-
 /// `VVD_WORKERS` when explicitly set to a positive integer.
 fn explicit_workers() -> Option<usize> {
     std::env::var(WORKERS_ENV)
@@ -105,19 +98,6 @@ pub fn checkpoint_interval() -> Option<u64> {
         .filter(|&n| n >= 1)
 }
 
-/// The optional on-disk GEMM autotune directory: `VVD_AUTOTUNE_DIR` when
-/// set to a non-empty path, `None` otherwise.  Like every other ambient
-/// policy this is read *here* — the single environment site the
-/// `ambient-env` lint of `vvd-analyze` permits — and consumed by
-/// `vvd_nn::kernels::autotune`.
-pub fn autotune_dir() -> Option<std::path::PathBuf> {
-    std::env::var(AUTOTUNE_DIR_ENV)
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
-}
-
 fn hardware_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -152,15 +132,6 @@ mod tests {
         match checkpoint_interval() {
             None => {}
             Some(n) => assert!(n >= 1),
-        }
-    }
-
-    #[test]
-    fn autotune_dir_is_opt_in() {
-        // VVD_AUTOTUNE_DIR unset (the test default) means no disk layer;
-        // when set, the path must be non-empty.
-        if let Some(dir) = autotune_dir() {
-            assert!(!dir.as_os_str().is_empty());
         }
     }
 

@@ -42,8 +42,8 @@ use crate::worker::{run_worker, WORKER_ARG};
 use std::fmt;
 use std::path::PathBuf;
 use std::process::Command;
-use std::time::Instant;
 use vvd_estimation::ModelCacheStats;
+use vvd_serve::timing::Stopwatch;
 use vvd_serve::{
     BatchCounters, LoadGenerator, ReportAssemblyError, ServeReport, ServeSpecError, SessionSpec,
     SynthCounters,
@@ -330,8 +330,7 @@ pub fn serve_cluster_detailed(
     specs: &[SessionSpec],
     options: &ClusterOptions,
 ) -> Result<ClusterRun, ClusterError> {
-    // vvd-allow: wall-clock — observability only; `ServeReport::digest()` excludes timing
-    let started = Instant::now();
+    let started = Stopwatch::start();
 
     let generator = LoadGenerator::new(*config);
     generator.validate(specs)?;

@@ -149,10 +149,11 @@ pub fn maybe_run_worker() {
 
 /// Snapshots the engine and ships the frame ahead of a barrier ack.
 fn send_checkpoint<T: Transport>(transport: &mut T, engine: &ServeEngine) -> Result<(), WireError> {
-    match engine.checkpoint() {
-        Ok(checkpoint) => transport.send(&Message::CheckpointFrame(CheckpointFrame {
-            frame: checkpoint.to_frame(),
-        })),
+    let frame = engine
+        .checkpoint()
+        .and_then(|checkpoint| checkpoint.to_frame());
+    match frame {
+        Ok(frame) => transport.send(&Message::CheckpointFrame(CheckpointFrame { frame })),
         Err(e) => {
             let message = format!("checkpoint failed: {e}");
             transport.send(&Message::Error {

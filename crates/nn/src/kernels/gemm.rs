@@ -8,26 +8,20 @@
 //! chunks fan out to scoped worker threads (disjoint writes, so the worker
 //! count cannot affect any bit of the result).
 //!
-//! Each kernel comes in two layers: a `*_tiled` variant taking explicit
-//! [`GemmTiles`] block sizes (the layer [`super::autotune`] sweeps), and a
-//! tile-less wrapper that asks the autotuner for the measured winner of the
-//! shape class.  Because tiles only partition the *output*, every candidate
-//! tile produces the same bits — the proptests in
-//! `crates/nn/tests/kernel_properties.rs` pin that across the whole
-//! candidate set.
+//! The block sizes are fixed constants.  Because tiles only partition the
+//! *output*, any block size would produce the same bits; the reference
+//! parity tests below (panelled branch included) and in
+//! `crates/nn/tests/kernel_properties.rs` pin the one schedule in use.
 
-use super::autotune::{self, GemmOp, GemmTiles};
 use super::run_row_chunks;
 
-/// Default column-panel width in `f32` elements (1 KiB per panel row): the
-/// panel of the streamed operand stays in L1/L2 while it is reused across
-/// rows.  [`super::autotune`] sweeps alternatives per shape class.
-pub const COL_BLOCK: usize = 256;
+/// Column-panel width in `f32` elements (1 KiB per panel row): the panel
+/// of the streamed operand stays in L1/L2 while it is reused across rows.
+const COL_BLOCK: usize = 256;
 
-/// Default row-tile height of the dot-product kernel: the tile of `A` rows
-/// stays hot while the whole of `B` streams past it once per tile.
-/// [`super::autotune`] sweeps alternatives per shape class.
-pub const ROW_BLOCK: usize = 32;
+/// Row-tile height of the dot-product kernel: the tile of `A` rows stays
+/// hot while the whole of `B` streams past it once per tile.
+const ROW_BLOCK: usize = 32;
 
 /// Minimum output rows per worker before a thread is spawned.
 const MIN_ROWS_PER_WORKER: usize = 4;
@@ -49,33 +43,17 @@ fn panel_width(k: usize, n: usize, col_block: usize) -> usize {
     }
 }
 
-/// Row-major matrix multiply `C = A(m×k) · B(k×n)`, blocked and threaded,
-/// with the block sizes chosen by the autotuner for this shape class.
+/// Row-major matrix multiply `C = A(m×k) · B(k×n)`, blocked and threaded.
 ///
 /// Bit-identical to [`super::reference::matmul`].
 pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    gemm_tiled(a, b, m, k, n, autotune::tiles_for(GemmOp::Nn, m, k, n))
-}
-
-/// [`gemm`] with explicit block sizes.
-///
-/// Tiles only partition the output, so *every* tile choice is bit-identical
-/// to [`super::reference::matmul`]; the choice affects speed alone.
-pub fn gemm_tiled(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    tiles: GemmTiles,
-) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "gemm: A size mismatch");
     assert_eq!(b.len(), k * n, "gemm: B size mismatch");
     let mut c = vec![0.0f32; m * n];
     if n == 0 {
         return c;
     }
-    let panel = panel_width(k, n, tiles.col_block);
+    let panel = panel_width(k, n, COL_BLOCK);
     run_row_chunks(&mut c, m, n, MIN_ROWS_PER_WORKER, |first, rows, chunk| {
         let a_chunk = &a[first * k..(first + rows) * k];
         let mut j0 = 0;
@@ -100,24 +78,10 @@ pub fn gemm_tiled(
     c
 }
 
-/// `C = Aᵀ · B` with `a` stored `(k × m)`, blocked and threaded, with the
-/// block sizes chosen by the autotuner for this shape class.
+/// `C = Aᵀ · B` with `a` stored `(k × m)`, blocked and threaded.
 ///
 /// Bit-identical to [`super::reference::matmul_at`].
 pub fn gemm_at(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    gemm_at_tiled(a, b, m, k, n, autotune::tiles_for(GemmOp::At, m, k, n))
-}
-
-/// [`gemm_at`] with explicit block sizes; bit-identical to
-/// [`super::reference::matmul_at`] for every tile choice.
-pub fn gemm_at_tiled(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    tiles: GemmTiles,
-) -> Vec<f32> {
     assert_eq!(a.len(), k * m, "gemm_at: A size mismatch");
     assert_eq!(b.len(), k * n, "gemm_at: B size mismatch");
     let mut c = vec![0.0f32; m * n];
@@ -126,7 +90,7 @@ pub fn gemm_at_tiled(
     }
     // Here the panel keeps the *output* resident: every column panel of C
     // is revisited k times (once per kk), so C is the operand to protect.
-    let panel = panel_width(m, n, tiles.col_block);
+    let panel = panel_width(m, n, COL_BLOCK);
     run_row_chunks(&mut c, m, n, MIN_ROWS_PER_WORKER, |first, rows, chunk| {
         let mut j0 = 0;
         while j0 < n {
@@ -150,32 +114,17 @@ pub fn gemm_at_tiled(
     c
 }
 
-/// `C = A(m×k) · Bᵀ` with `b` stored `(n × k)`, tiled and threaded, with
-/// the block sizes chosen by the autotuner for this shape class.
+/// `C = A(m×k) · Bᵀ` with `b` stored `(n × k)`, tiled and threaded.
 ///
 /// Bit-identical to [`super::reference::matmul_bt`].
 pub fn gemm_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    gemm_bt_tiled(a, b, m, k, n, autotune::tiles_for(GemmOp::Bt, m, k, n))
-}
-
-/// [`gemm_bt`] with explicit block sizes; bit-identical to
-/// [`super::reference::matmul_bt`] for every tile choice.
-pub fn gemm_bt_tiled(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    tiles: GemmTiles,
-) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "gemm_bt: A size mismatch");
     assert_eq!(b.len(), n * k, "gemm_bt: B size mismatch");
-    let row_block = tiles.row_block.max(1);
     let mut c = vec![0.0f32; m * n];
     run_row_chunks(&mut c, m, n, MIN_ROWS_PER_WORKER, |first, rows, chunk| {
         let mut i0 = 0;
         while i0 < rows {
-            let ib = row_block.min(rows - i0);
+            let ib = ROW_BLOCK.min(rows - i0);
             for j in 0..n {
                 let b_row = &b[j * k..(j + 1) * k];
                 for i in i0..i0 + ib {
@@ -256,7 +205,15 @@ mod tests {
 
     #[test]
     fn gemm_matches_reference_bitwise_across_shapes() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 4, 5), (8, 72, 300), (5, 513, 7)] {
+        // (3, 72, 7400) has k·n = 532,800 > PANEL_THRESHOLD, so it takes the
+        // column-panelled branch with a ragged last panel.
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 4, 5),
+            (8, 72, 300),
+            (5, 513, 7),
+            (3, 72, 7400),
+        ] {
             let a = pattern(m * k, 0.1);
             let b = pattern(k * n, 0.7);
             assert_eq!(gemm(&a, &b, m, k, n), reference::matmul(&a, &b, m, k, n));
@@ -265,7 +222,14 @@ mod tests {
 
     #[test]
     fn gemm_at_matches_reference_bitwise_across_shapes() {
-        for &(m, k, n) in &[(1, 1, 1), (4, 3, 6), (72, 8, 300), (9, 2, 513)] {
+        // (72, 2, 7400) has m·n = 532,800 > PANEL_THRESHOLD: panelled output.
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (4, 3, 6),
+            (72, 8, 300),
+            (9, 2, 513),
+            (72, 2, 7400),
+        ] {
             let a = pattern(k * m, 0.2);
             let b = pattern(k * n, 0.9);
             assert_eq!(
@@ -283,36 +247,6 @@ mod tests {
             assert_eq!(
                 gemm_bt(&a, &b, m, k, n),
                 reference::matmul_bt(&a, &b, m, k, n)
-            );
-        }
-    }
-
-    #[test]
-    fn every_candidate_tile_is_bit_identical() {
-        // The autotuner may pick any candidate per shape class; all of them
-        // must produce the same bits as the reference (tiles only partition
-        // the output).  The proptests widen this to random shapes.
-        let (m, k, n) = (13, 37, 61);
-        let a = pattern(m * k, 0.11);
-        let b = pattern(k * n, 0.73);
-        let bt = pattern(n * k, 0.29);
-        let at = pattern(k * m, 0.41);
-        for tiles in autotune::candidates(GemmOp::Nn) {
-            assert_eq!(
-                gemm_tiled(&a, &b, m, k, n, tiles),
-                reference::matmul(&a, &b, m, k, n)
-            );
-        }
-        for tiles in autotune::candidates(GemmOp::At) {
-            assert_eq!(
-                gemm_at_tiled(&at, &b, m, k, n, tiles),
-                reference::matmul_at(&at, &b, m, k, n)
-            );
-        }
-        for tiles in autotune::candidates(GemmOp::Bt) {
-            assert_eq!(
-                gemm_bt_tiled(&a, &bt, m, k, n, tiles),
-                reference::matmul_bt(&a, &bt, m, k, n)
             );
         }
     }

@@ -30,12 +30,11 @@
 //! * Worker threads only ever write disjoint, contiguous row chunks of the
 //!   output, so the result is bit-identical at any worker count.
 
-pub mod autotune;
 mod gemm;
 mod im2col;
 pub mod reference;
 
-pub use gemm::{gemm, gemm_at, gemm_at_tiled, gemm_bt, gemm_bt_strided, gemm_bt_tiled, gemm_tiled};
+pub use gemm::{gemm, gemm_at, gemm_bt, gemm_bt_strided};
 pub use im2col::{col2im_item, im2col, im2col_batch, ConvGeometry};
 
 /// Number of workers available to the kernels: the `VVD_WORKERS`

@@ -93,10 +93,11 @@ pub enum CheckpointError {
         /// How many bytes were left.
         extra: usize,
     },
-    /// The frame's declared payload length exceeds
+    /// The frame's payload length — declared in a frame being decoded,
+    /// or actual in a checkpoint being encoded — exceeds
     /// [`MAX_CHECKPOINT_PAYLOAD`].
     FrameTooLarge {
-        /// The declared length.
+        /// The payload length in bytes.
         len: u64,
     },
     /// A checkpoint was requested mid-tick: the session still holds a
@@ -240,7 +241,12 @@ pub struct EngineCheckpoint {
 
 impl EngineCheckpoint {
     /// Encodes the checkpoint as one self-delimiting versioned frame.
-    pub fn to_frame(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    /// [`CheckpointError::FrameTooLarge`] when the payload exceeds
+    /// [`MAX_CHECKPOINT_PAYLOAD`], i.e. when
+    /// [`from_frame`](Self::from_frame) would refuse the frame.
+    pub fn to_frame(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut payload = Vec::new();
         put_u64(&mut payload, self.ticks);
         put_u64(&mut payload, self.batches.batch_calls);
@@ -257,16 +263,17 @@ impl EngineCheckpoint {
             put_state(&mut payload, &session.estimator);
             put_trace(&mut payload, &session.trace);
         }
-        assert!(
-            payload.len() as u64 <= MAX_CHECKPOINT_PAYLOAD as u64,
-            "checkpoint payload exceeds the frame budget"
-        );
+        if payload.len() as u64 > MAX_CHECKPOINT_PAYLOAD as u64 {
+            return Err(CheckpointError::FrameTooLarge {
+                len: payload.len() as u64,
+            });
+        }
         let mut frame = Vec::with_capacity(4 + 2 + 4 + payload.len());
         frame.extend_from_slice(&CHECKPOINT_MAGIC);
         frame.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
-        frame
+        Ok(frame)
     }
 
     /// Decodes one frame, totally: every error path (wrong magic, wrong
@@ -729,7 +736,7 @@ impl MemoryCheckpointStore {
 
 impl CheckpointStore for MemoryCheckpointStore {
     fn save(&mut self, checkpoint: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        self.frames.push((checkpoint.ticks, checkpoint.to_frame()));
+        self.frames.push((checkpoint.ticks, checkpoint.to_frame()?));
         Ok(())
     }
 
@@ -797,7 +804,7 @@ impl CheckpointStore for DirCheckpointStore {
     fn save(&mut self, checkpoint: &EngineCheckpoint) -> Result<(), CheckpointError> {
         let name = format!("ckpt-{:020}.vvdc", checkpoint.ticks);
         let tmp = self.dir.join(format!(".{name}.tmp"));
-        fs::write(&tmp, checkpoint.to_frame())?;
+        fs::write(&tmp, checkpoint.to_frame()?)?;
         fs::rename(&tmp, self.dir.join(name))?;
         Ok(())
     }
@@ -925,7 +932,7 @@ mod tests {
     #[test]
     fn frame_round_trips_bit_identically() {
         let checkpoint = sample_checkpoint();
-        let frame = checkpoint.to_frame();
+        let frame = checkpoint.to_frame().unwrap();
         let decoded = EngineCheckpoint::from_frame(&frame).unwrap();
         assert_eq!(decoded.ticks, checkpoint.ticks);
         assert_eq!(decoded.batches, checkpoint.batches);
@@ -942,12 +949,12 @@ mod tests {
         }
         // Determinism of the encoding itself: re-encoding the decoded
         // checkpoint yields the same bytes.
-        assert_eq!(decoded.to_frame(), frame);
+        assert_eq!(decoded.to_frame().unwrap(), frame);
     }
 
     #[test]
     fn every_corruption_mode_is_a_typed_error() {
-        let frame = sample_checkpoint().to_frame();
+        let frame = sample_checkpoint().to_frame().unwrap();
 
         // Wrong magic.
         let mut bad = frame.clone();
@@ -1001,6 +1008,27 @@ mod tests {
         let len = bad.len();
         bad[len - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(EngineCheckpoint::from_frame(&bad).is_err());
+    }
+
+    #[test]
+    fn over_cap_payload_is_a_typed_error_not_a_panic() {
+        // 4.2 M taps at 16 bytes each put the payload just over the 64 MiB
+        // cap: encoding refuses it and a store saves nothing.
+        let mut checkpoint = sample_checkpoint();
+        checkpoint.sessions[0]
+            .trace
+            .estimates
+            .push(fir(1.0, 4_200_000));
+        assert!(matches!(
+            checkpoint.to_frame(),
+            Err(CheckpointError::FrameTooLarge { len }) if len > MAX_CHECKPOINT_PAYLOAD as u64
+        ));
+        let mut store = MemoryCheckpointStore::new();
+        assert!(matches!(
+            store.save(&checkpoint),
+            Err(CheckpointError::FrameTooLarge { .. })
+        ));
+        assert!(store.frames().is_empty());
     }
 
     #[test]

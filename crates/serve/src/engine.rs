@@ -463,7 +463,7 @@ mod tests {
         assert_eq!(latest.ticks, 6);
         // Frames survive a byte-level round trip (the wire is what crosses
         // process boundaries).
-        let latest = EngineCheckpoint::from_frame(&latest.to_frame()).unwrap();
+        let latest = EngineCheckpoint::from_frame(&latest.to_frame().unwrap()).unwrap();
 
         let mut resumed = ServeEngine::resume(
             gen.build(&cheap_specs()).unwrap(),

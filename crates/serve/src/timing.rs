@@ -3,10 +3,12 @@
 //! The engine runs on a simulated tick clock; wall time is *observability
 //! only* ([`ServeReport::digest`](crate::ServeReport::digest) deliberately
 //! excludes every timing statistic).  This module is the single place the
-//! serve crate reads the wall clock, and it is registered in vvd-analyze's
-//! `timing-modules` allowlist — an `Instant::now()` anywhere else in the
-//! crate is a lint violation, which is how "wall time never influences
-//! results" stays enforced while phase timings are still measured.
+//! workspace reads the wall clock outside bench code — the serve engine's
+//! phase timings and the vvd-net coordinator's cluster wall time both go
+//! through [`Stopwatch`] — and it is the only entry in vvd-analyze's
+//! `timing_modules` allowlist.  An `Instant::now()` anywhere else in a
+//! checked crate is a lint violation, which is how "wall time never
+//! influences results" stays enforced while timings are still measured.
 
 /// A started wall-clock timer (a minimal `Instant` wrapper).
 #[derive(Debug, Clone, Copy)]

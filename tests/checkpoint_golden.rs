@@ -106,7 +106,8 @@ fn resume_at_first_mid_and_last_tick_matches_the_uninterrupted_digest() {
         let frame = engine
             .checkpoint()
             .expect("tick boundaries always checkpoint")
-            .to_frame();
+            .to_frame()
+            .expect("frame fits the payload cap");
         drop(engine);
 
         // A fresh engine over a freshly rebuilt workload, different shard
@@ -260,7 +261,11 @@ fn disk_store_surfaces_typed_errors_and_heals_to_the_previous_good_frame() {
         .expect("an intact frame exists")
         .expect("frames were saved");
     assert_eq!(healed.ticks, 4);
-    assert_eq!(healed.to_frame(), good.to_frame(), "healed frame differs");
+    assert_eq!(
+        healed.to_frame().expect("frame fits the payload cap"),
+        good.to_frame().expect("frame fits the payload cap"),
+        "healed frame differs"
+    );
 
     // And the healed frame is actually resumable to the reference digest.
     let reference = serve(build_workload(&campaigns), &ServeOptions { shards: 1 });

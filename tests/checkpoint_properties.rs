@@ -94,7 +94,8 @@ fn every_technique_round_trips_to_a_byte_identical_frame() {
         let first = engine
             .checkpoint()
             .expect("tick boundaries always checkpoint")
-            .to_frame();
+            .to_frame()
+            .expect("frame fits the payload cap");
 
         let resumed = ServeEngine::resume(
             build_workload(&specs),
@@ -105,7 +106,8 @@ fn every_technique_round_trips_to_a_byte_identical_frame() {
         let second = resumed
             .checkpoint()
             .expect("a just-resumed engine is at a tick boundary")
-            .to_frame();
+            .to_frame()
+            .expect("frame fits the payload cap");
         assert_eq!(
             first, second,
             "save → load → save must be byte-identical (checkpoint tick {at_tick})"
@@ -156,7 +158,8 @@ proptest! {
         let frame = engine
             .checkpoint()
             .expect("tick boundaries always checkpoint")
-            .to_frame();
+            .to_frame()
+            .expect("frame fits the payload cap");
         drop(engine);
 
         let mut resumed = ServeEngine::resume(
