@@ -1,18 +1,19 @@
 //! Criterion micro-benchmarks of the building blocks: LS estimation, ZF
 //! equalizer design and application, O-QPSK modulation/demodulation,
-//! despreading, CNN inference and depth rendering.
+//! despreading, CNN inference and depth rendering (the full frame, and the
+//! campaign's per-frame render over its pre-traced crop window).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vvd_channel::{CirConfig, CirSynthesizer, Human, Room};
 use vvd_core::{build_vvd_cnn, VvdConfig};
-use vvd_estimation::ls::perfect_estimate;
+use vvd_estimation::ls::{perfect_estimate, preamble_estimate};
 use vvd_estimation::zf::ZfEqualizer;
 use vvd_nn::Tensor;
 use vvd_phy::oqpsk::{demodulate_chips, modulate_chips};
 use vvd_phy::{modulate_frame, PhyConfig, PsduBuilder};
-use vvd_testbed::campaign::{build_camera, build_scene};
+use vvd_testbed::campaign::{build_camera, build_scene, camera_view, render_frame};
 use vvd_vision::render_depth;
 
 fn bench_phy(c: &mut Criterion) {
@@ -47,6 +48,9 @@ fn bench_estimation(c: &mut Criterion) {
     c.bench_function("estimation/perfect_ls_11taps", |b| {
         b.iter(|| perfect_estimate(&tx, received.as_slice(), 11).unwrap())
     });
+    c.bench_function("estimation/preamble_ls_11taps", |b| {
+        b.iter(|| preamble_estimate(&tx, received.as_slice(), 11).unwrap())
+    });
     let estimate = perfect_estimate(&tx, received.as_slice(), 11).unwrap();
     c.bench_function("estimation/zf_design_21taps", |b| {
         b.iter(|| ZfEqualizer::design(&estimate, 21).unwrap())
@@ -68,6 +72,10 @@ fn bench_channel_and_vision(c: &mut Criterion) {
     let scene = build_scene(&room, &[(4.0, 3.0)]);
     c.bench_function("vision/render_depth_108x72", |b| {
         b.iter(|| render_depth(&scene, &camera))
+    });
+    let view = camera_view(&room, &camera);
+    c.bench_function("vision/render_frame_50x90", |b| {
+        b.iter(|| render_frame(&view, &[(4.0, 3.0)]))
     });
 }
 

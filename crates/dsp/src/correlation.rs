@@ -1,9 +1,13 @@
 //! Correlation utilities.
 //!
-//! Three users in the reproduction:
+//! Four users in the reproduction:
 //!
 //! * the receiver's preamble detector and symbol despreader correlate the
 //!   received chips against the known PN sequences,
+//! * the least-squares convolution fits (Eq. 4 and 7) form their normal
+//!   equations from the reference's lag correlations and the observation's
+//!   correlation against the reference
+//!   ([`convolution_least_squares`](crate::solve::convolution_least_squares)),
 //! * the mean-phase-offset estimator (Eq. 8) is a Hermitian correlation of
 //!   two channel estimates, and
 //! * the Kalman/AR estimator derives its AR coefficients from the
@@ -25,12 +29,12 @@ pub fn cross_correlation(signal: &[Complex], reference: &[Complex]) -> CVec {
     }
     let n = signal.len() - reference.len() + 1;
     let mut out = CVec::zeros(n);
-    for k in 0..n {
+    for (k, out_k) in out.iter_mut().enumerate() {
         let mut acc = Complex::ZERO;
-        for (i, r) in reference.iter().enumerate() {
-            acc += signal[k + i] * r.conj();
+        for (s, r) in signal[k..].iter().zip(reference) {
+            acc += *s * r.conj();
         }
-        out[k] = acc;
+        *out_k = acc;
     }
     out
 }

@@ -36,5 +36,5 @@ pub use convolution::{convolution_matrix, convolve, convolve_full};
 pub use correlation::{autocorrelation, autocorrelation_coefficients, cross_correlation};
 pub use cvec::CVec;
 pub use fir::FirFilter;
-pub use solve::{least_squares, solve_linear};
+pub use solve::{convolution_least_squares, least_squares, solve_linear};
 pub use workers::{checkpoint_interval, per_process_worker_budget, proc_budget, worker_budget};

@@ -11,9 +11,15 @@
 //! Both are handled by a dense Gaussian elimination with partial pivoting on
 //! complex matrices.  Matrix sizes never exceed a few tens of taps, so the
 //! cubic cost is negligible and numerical behaviour is easy to reason about.
+//!
+//! Eq. 4 and Eq. 7 are least-squares fits over a *convolution* matrix, whose
+//! normal equations [`convolution_least_squares`] forms from correlations in
+//! O(N·M) without building the `(M + N − 1) × N` matrix.  The dense
+//! [`least_squares`] stays as the general solver and as its reference.
 
 use crate::cmatrix::CMatrix;
 use crate::complex::Complex;
+use crate::correlation::cross_correlation;
 use crate::cvec::CVec;
 
 /// Errors returned by the linear solvers.
@@ -128,6 +134,65 @@ pub fn least_squares(a: &CMatrix, b: &CVec) -> Result<CVec, SolveError> {
     let gram = a.gram();
     let rhs = a.hermitian_matvec(b);
     solve_linear(&gram, &rhs)
+}
+
+/// Least-squares fit of an `n_taps` FIR filter `h` to `observed ≈ reference * h`:
+/// the same normal equations as
+/// `least_squares(&convolution_matrix(reference, n_taps), observed)`, with
+/// `observed` zero-padded or truncated to the matrix's `M + N − 1` rows
+/// (`M = reference.len()`), solved without building the matrix.
+///
+/// The Gram `XᴴX` of a full-support convolution matrix is Hermitian
+/// Toeplitz: entry `(i, j)` is the reference's lag-`(i − j)` correlation
+/// `r[d] = Σ_t x[t + d]·conj(x[t])`, conjugated above the diagonal, and
+/// `Xᴴy` is the sliding correlation of `observed` against the reference.
+/// Both come from [`cross_correlation`] in O(N·M) instead of O(N²·M).
+///
+/// For finite inputs the result is bit-identical to the dense path.  Each
+/// entry sums the same non-zero products in the same ascending order as
+/// [`CMatrix::gram`] / [`CMatrix::hermitian_matvec`] (complex `*` commutes
+/// bit for bit, and the skipped zero products add ±0 to a sum that is never
+/// −0).  Above the diagonal, negating every term negates the sum exactly,
+/// except that a zero imaginary part comes out −0 where the dense fold gives
+/// +0; adding [`Complex::ZERO`] after the conjugate restores the +0.
+///
+/// # Errors
+/// Returns [`SolveError::DimensionMismatch`] when `reference` is empty or
+/// `n_taps == 0`, and [`SolveError::Singular`] when the Gram cannot be
+/// inverted (an all-zero reference).
+pub fn convolution_least_squares(
+    reference: &[Complex],
+    observed: &[Complex],
+    n_taps: usize,
+) -> Result<CVec, SolveError> {
+    if reference.is_empty() || n_taps == 0 {
+        return Err(SolveError::DimensionMismatch);
+    }
+    let rows = reference.len() + n_taps - 1;
+    let mut padded = observed[..observed.len().min(rows)].to_vec();
+    padded.resize(rows, Complex::ZERO);
+    let rhs = cross_correlation(&padded, reference);
+    solve_linear(&convolution_gram(reference, n_taps), &rhs)
+}
+
+/// `XᴴX` of `convolution_matrix(reference, n_taps)` from the reference's
+/// lag correlations (see [`convolution_least_squares`]).
+fn convolution_gram(reference: &[Complex], n_taps: usize) -> CMatrix {
+    // The reference followed by N − 1 zeros yields lags 0..N.
+    let mut signal = reference.to_vec();
+    signal.resize(reference.len() + n_taps - 1, Complex::ZERO);
+    let lags = cross_correlation(&signal, reference);
+    let mut gram = CMatrix::zeros(n_taps, n_taps);
+    for i in 0..n_taps {
+        for j in 0..n_taps {
+            gram[(i, j)] = if i >= j {
+                lags[i - j]
+            } else {
+                lags[j - i].conj() + Complex::ZERO
+            };
+        }
+    }
+    gram
 }
 
 /// Inverts a square complex matrix by solving against the identity columns.
@@ -251,6 +316,38 @@ mod tests {
         let prod = a.matmul(&inv);
         let eye = CMatrix::identity(2);
         assert!(prod.sub(&eye).frobenius_norm() < 1e-12);
+    }
+
+    #[test]
+    fn convolution_gram_matches_dense_gram_bit_for_bit() {
+        use crate::convolution::convolution_matrix;
+        // Real and sparse references make zero imaginary parts, whose sign
+        // the upper triangle must reproduce.
+        let references: [&[Complex]; 4] = [
+            &[c(1.0, 0.0), c(0.0, 0.0), c(0.0, 0.0), c(-2.0, 0.0)],
+            &[
+                c(0.5, -1.0),
+                c(0.0, 0.0),
+                c(0.25, 0.75),
+                c(1.0, 1.0),
+                c(0.0, -0.5),
+            ],
+            &[c(-0.0, 0.0), c(1.5, -0.0)],
+            &[c(0.3, 0.2)],
+        ];
+        for reference in references {
+            for n_taps in 1..=7 {
+                let dense = convolution_matrix(reference, n_taps).gram();
+                let fast = convolution_gram(reference, n_taps);
+                let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+                    m.data()
+                        .iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&fast), bits(&dense), "{reference:?}, {n_taps} taps");
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,18 @@
 //! filter to a stretch of received samples whose transmitted counterpart is
 //! known: the whole packet for the "perfect" (ground-truth) estimate, the
 //! synchronisation header for the preamble-based estimate.
+//!
+//! The fit never builds Eq. 5's `(M + N − 1) × N` convolution matrix.
+//! [`convolution_least_squares`] forms the normal equations from the
+//! reference's `N` lag correlations and the received samples' correlation
+//! against the reference: O(N·M) work instead of O(N²·M).  Each Gram and
+//! right-hand-side entry sums the same non-zero products in the same order
+//! as the dense `XᴴX` / `Xᴴy`, so the estimate is bit-identical to
+//! `least_squares(&convolution_matrix(..), ..)`
+//! (`crates/dsp/tests/ls_parity.rs`).
 
-use vvd_dsp::convolution::convolution_matrix;
-use vvd_dsp::solve::{least_squares, SolveError};
-use vvd_dsp::{CVec, Complex, FirFilter};
+use vvd_dsp::solve::{convolution_least_squares, SolveError};
+use vvd_dsp::{Complex, FirFilter};
 use vvd_phy::ModulatedFrame;
 
 /// Number of channel taps the paper estimates.
@@ -21,22 +29,14 @@ pub const PAPER_TAPS: usize = 11;
 /// is zero-padded if shorter (the trailing transient carries little energy).
 ///
 /// # Errors
-/// Propagates [`SolveError`] when the reference is degenerate (all zeros or
-/// shorter than the requested number of taps).
+/// Returns [`SolveError::DimensionMismatch`] for an empty reference or
+/// `n_taps == 0`, and [`SolveError::Singular`] for an all-zero reference.
 pub fn ls_estimate(
     reference: &[Complex],
     received: &[Complex],
     n_taps: usize,
 ) -> Result<FirFilter, SolveError> {
-    let x = convolution_matrix(reference, n_taps);
-    let needed = x.rows();
-    let mut y = CVec(received.to_vec());
-    if y.len() < needed {
-        y = y.resized(needed);
-    } else if y.len() > needed {
-        y = CVec(received[..needed].to_vec());
-    }
-    least_squares(&x, &y).map(FirFilter::new)
+    convolution_least_squares(reference, received, n_taps).map(FirFilter::new)
 }
 
 /// The paper's "perfect channel estimation" / ground truth: an LS fit using
@@ -65,6 +65,7 @@ pub fn preamble_estimate(
 mod tests {
     use super::*;
     use vvd_dsp::convolution::convolve_full;
+    use vvd_dsp::CVec;
     use vvd_phy::{modulate_frame, PhyConfig, PsduBuilder};
 
     fn c(re: f64, im: f64) -> Complex {
@@ -144,6 +145,14 @@ mod tests {
         let reference = [Complex::ZERO; 8];
         let received = [Complex::ZERO; 10];
         assert!(ls_estimate(&reference, &received, 3).is_err());
+        assert_eq!(
+            ls_estimate(&[], &received, 3),
+            Err(SolveError::DimensionMismatch)
+        );
+        assert_eq!(
+            ls_estimate(&[Complex::ONE; 8], &received, 0),
+            Err(SolveError::DimensionMismatch)
+        );
     }
 
     #[test]

@@ -5,9 +5,15 @@
 //! selects the overall cascade delay (the number of pre-cursor and
 //! post-cursor taps).  The equalized signal is then re-aligned by that
 //! cascade delay before matched-filter demodulation.
+//!
+//! The design runs on every decode, and it never builds `Hᵏ`:
+//! [`convolution_least_squares`] forms `HᴴH` from the estimate's lag
+//! correlations and `Hᴴu` from its correlation with `u`, summing the same
+//! non-zero products in the same order as the dense matrix products, so the
+//! taps are bit-identical to the dense solve (`crates/dsp/tests/ls_parity.rs`
+//! covers this 11 → 21 tap shape).
 
-use vvd_dsp::convolution::convolution_matrix;
-use vvd_dsp::solve::{least_squares, SolveError};
+use vvd_dsp::solve::{convolution_least_squares, SolveError};
 use vvd_dsp::{CVec, Complex, FirFilter};
 
 /// A designed zero-forcing equalizer.
@@ -50,12 +56,12 @@ impl ZfEqualizer {
         if cascade_delay >= cascade_len {
             return Err(SolveError::DimensionMismatch);
         }
-        // H is the convolution matrix of the channel estimate for an
-        // equalizer of length L: (L + N - 1) x L.
-        let h = convolution_matrix(channel_estimate.taps().as_slice(), equalizer_taps);
+        // LS over H, the (L + N - 1) x L convolution matrix of the channel
+        // estimate for an equalizer of length L.
         let mut u = CVec::zeros(cascade_len);
         u[cascade_delay] = Complex::ONE;
-        let taps = least_squares(&h, &u)?;
+        let taps =
+            convolution_least_squares(channel_estimate.taps().as_slice(), &u, equalizer_taps)?;
         Ok(ZfEqualizer {
             filter: FirFilter::new(taps),
             cascade_delay,

@@ -29,6 +29,14 @@
 //! (each packet's receiver noise comes from its own seeded RNG) and fans
 //! out over `std::thread::scope` workers; its outputs are identical at any
 //! worker count.
+//!
+//! Neither synthesis stage redoes immutable work.  The blocker-free room is
+//! traced once per campaign over the 50 × 90 crop window ([`camera_view`]),
+//! so a frame only intersects the people with the stored rays
+//! ([`render_frame`]); the perfect LS estimate forms its normal equations
+//! from correlations instead of the dense convolution matrix.  Both are
+//! bit-identical to the direct computations (see `vvd_vision::render` and
+//! `vvd_estimation::ls`).
 
 use crate::config::EvalConfig;
 use rand::rngs::StdRng;
@@ -40,7 +48,7 @@ use vvd_dsp::{CVec, Complex, FirFilter};
 use vvd_estimation::ls::perfect_estimate;
 use vvd_phy::{modulate_frame, ModulatedFrame, PsduBuilder, Receiver};
 use vvd_vision::scene::{Aabb, Plane, Scene, Vec3, VerticalCylinder};
-use vvd_vision::{preprocess, render_depth, DepthImage, PinholeCamera, PreprocessConfig};
+use vvd_vision::{DepthImage, PinholeCamera, PreprocessConfig, StaticView};
 
 /// One camera frame of a measurement set.
 #[derive(Debug, Clone)]
@@ -115,7 +123,7 @@ pub struct Campaign {
 /// Builds the depth-camera scene for the room with the given blockers
 /// standing in it (each rendered as the standard human cylinder).
 pub fn build_scene(room: &Room, blockers: &[(f64, f64)]) -> Scene {
-    let mut scene = Scene {
+    Scene {
         planes: vec![
             Plane::Z(0.0),
             Plane::X(0.0),
@@ -127,19 +135,24 @@ pub fn build_scene(room: &Room, blockers: &[(f64, f64)]) -> Scene {
             .iter()
             .map(|s| Aabb::from_footprint(s.position.x, s.position.y, s.half_extent, s.height))
             .collect(),
-        cylinders: Vec::new(),
+        cylinders: human_cylinders(blockers),
         max_depth: 12.0,
-    };
-    for &(x, y) in blockers {
-        scene.cylinders.push(VerticalCylinder {
+    }
+}
+
+/// The standard human stand-in for each blocker position: a 0.25 m radius,
+/// 1.8 m tall cylinder on the floor.
+fn human_cylinders(blockers: &[(f64, f64)]) -> Vec<VerticalCylinder> {
+    blockers
+        .iter()
+        .map(|&(x, y)| VerticalCylinder {
             x,
             y,
             radius: 0.25,
             z_min: 0.0,
             z_max: 1.8,
-        });
-    }
-    scene
+        })
+        .collect()
 }
 
 /// The surveillance camera of the room.
@@ -154,16 +167,38 @@ pub fn build_camera(room: &Room) -> PinholeCamera {
     )
 }
 
+/// The camera's view of the blocker-free room over the preprocessing crop
+/// window, traced once per campaign.
+///
+/// `PreprocessConfig::default()` renders at the already-downsampled
+/// resolution (downsample factor 1), so its crop is a plain window of the
+/// rendered frame and [`render_frame`] equals rendering the full frame and
+/// preprocessing it.
+pub fn camera_view(room: &Room, camera: &PinholeCamera) -> StaticView {
+    let crop = PreprocessConfig::default();
+    StaticView::new(
+        &build_scene(room, &[]),
+        camera,
+        crop.crop_row_start..crop.crop_row_start + crop.crop_rows,
+        crop.crop_col_start..crop.crop_col_start + crop.crop_cols,
+    )
+}
+
+/// Renders one preprocessed (cropped, normalised) depth frame with the
+/// given blockers standing in the room of `view`.
+pub fn render_frame(view: &StaticView, blockers: &[(f64, f64)]) -> DepthImage {
+    view.render(&human_cylinders(blockers))
+        .scaled(PreprocessConfig::default().normalization_depth)
+}
+
 /// Renders the preprocessed depth image of the room with the given
-/// blockers standing in it.
+/// blockers standing in it, through a fresh [`camera_view`].
 pub fn render_preprocessed(
     room: &Room,
     camera: &PinholeCamera,
     blockers: &[(f64, f64)],
 ) -> DepthImage {
-    let scene = build_scene(room, blockers);
-    let raw = render_depth(&scene, camera);
-    preprocess(&raw, &PreprocessConfig::default())
+    render_frame(&camera_view(room, camera), blockers)
 }
 
 /// Sequential-phase output for one packet: everything the scenario decided,
@@ -209,7 +244,7 @@ impl Campaign {
         workers: usize,
     ) -> Campaign {
         let room = scenario.room().clone();
-        let camera = build_camera(&room);
+        let view = camera_view(&room, &build_camera(&room));
         let receiver = Receiver::new(config.phy);
         let builder = PsduBuilder::new(&config.phy);
 
@@ -255,7 +290,7 @@ impl Campaign {
                 par_map(&snapshots, workers, |i, blockers| FrameRecord {
                     index: i,
                     time_s: i as f64 * config.frame_period_s(),
-                    image: render_preprocessed(&room, &camera, blockers),
+                    image: render_frame(&view, blockers),
                     blockers: blockers.clone(),
                 });
 
@@ -577,6 +612,121 @@ mod tests {
             interpolate_snapshot(&changing, 1.0, 0.75),
             vec![(1.0, 2.0), (5.0, 5.0)]
         );
+    }
+
+    /// Per window pixel, the frame must equal tracing the whole scene
+    /// through that pixel and normalising, bit for bit.
+    fn assert_frame_matches_trace(room: &Room, blockers: &[(f64, f64)], frame: &DepthImage) {
+        let camera = build_camera(room);
+        let scene = build_scene(room, blockers);
+        let crop = PreprocessConfig::default();
+        assert_eq!(
+            (frame.height(), frame.width()),
+            (crop.crop_rows, crop.crop_cols)
+        );
+        for r in 0..crop.crop_rows {
+            for c in 0..crop.crop_cols {
+                let ray = camera.ray_for_pixel(crop.crop_row_start + r, crop.crop_col_start + c);
+                let expected = scene.trace(&ray) as f32 / 12.0;
+                assert_eq!(
+                    frame.get(r, c).to_bits(),
+                    expected.to_bits(),
+                    "pixel ({r}, {c}) with blockers {blockers:?}"
+                );
+            }
+        }
+    }
+
+    /// Pixels a blocker changes in the full frame, (inside, outside) the
+    /// crop window.
+    fn visible_pixels(room: &Room, blocker: (f64, f64)) -> (usize, usize) {
+        let camera = build_camera(room);
+        let full = StaticView::new(
+            &build_scene(room, &[]),
+            &camera,
+            0..camera.height,
+            0..camera.width,
+        );
+        let empty = full.render(&[]);
+        let with = full.render(&human_cylinders(&[blocker]));
+        let crop = PreprocessConfig::default();
+        let (mut inside, mut outside) = (0, 0);
+        for r in 0..camera.height {
+            for c in 0..camera.width {
+                if with.get(r, c) != empty.get(r, c) {
+                    let in_rows =
+                        (crop.crop_row_start..crop.crop_row_start + crop.crop_rows).contains(&r);
+                    let in_cols =
+                        (crop.crop_col_start..crop.crop_col_start + crop.crop_cols).contains(&c);
+                    if in_rows && in_cols {
+                        inside += 1;
+                    } else {
+                        outside += 1;
+                    }
+                }
+            }
+        }
+        (inside, outside)
+    }
+
+    #[test]
+    fn window_frames_match_tracing_the_whole_scene() {
+        // Per room: a blocker inside the crop window, one visible only
+        // outside it, one straddling its edge, and a crowd of three.
+        let rooms = [
+            (
+                Room::laboratory(),
+                [(4.0, 3.0), (0.5, 3.0), (4.0, 1.2)],
+                [(3.0, 2.5), (4.0, 3.0), (5.0, 4.0)],
+            ),
+            (
+                Room::small_office(),
+                [(2.5, 2.0), (0.3, 1.3), (2.5, 1.0)],
+                [(1.5, 2.0), (2.5, 2.0), (3.5, 3.0)],
+            ),
+            (
+                Room::large_hall(),
+                [(7.0, 5.0), (7.0, 1.5), (7.0, 2.0)],
+                [(5.0, 4.0), (7.0, 5.0), (9.0, 7.0)],
+            ),
+        ];
+        for (room, [in_view, out_of_view, straddling], crowd) in rooms {
+            let (inside, outside) = visible_pixels(&room, in_view);
+            assert!(
+                inside > 0 && outside == 0,
+                "{in_view:?}: {inside}/{outside}"
+            );
+            let (inside, outside) = visible_pixels(&room, out_of_view);
+            assert!(
+                inside == 0 && outside > 0,
+                "{out_of_view:?}: {inside}/{outside}"
+            );
+            let (inside, outside) = visible_pixels(&room, straddling);
+            assert!(
+                inside > 0 && outside > 0,
+                "{straddling:?}: {inside}/{outside}"
+            );
+
+            let view = camera_view(&room, &build_camera(&room));
+            let blocker_sets: [&[(f64, f64)]; 5] =
+                [&[], &[in_view], &[out_of_view], &[straddling], &crowd];
+            for blockers in blocker_sets {
+                assert_frame_matches_trace(&room, blockers, &render_frame(&view, blockers));
+            }
+        }
+    }
+
+    #[test]
+    fn campaign_frames_match_tracing_the_whole_scene() {
+        let mut cfg = EvalConfig::smoke();
+        cfg.n_sets = 1;
+        cfg.packets_per_set = 4;
+        for spec in ["paper", "room:small,humans=3", "room:large,humans=2"] {
+            let campaign = Campaign::generate_spec(&cfg, spec).unwrap();
+            for frame in &campaign.sets[0].frames {
+                assert_frame_matches_trace(&campaign.room, &frame.blockers, &frame.image);
+            }
+        }
     }
 
     #[test]

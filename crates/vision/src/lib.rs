@@ -14,7 +14,8 @@
 //! * [`camera`] — the pinhole projection model with configurable pose,
 //!   field of view and resolution,
 //! * [`render`] — per-pixel nearest-hit depth rendering into a
-//!   [`DepthImage`],
+//!   [`DepthImage`], over a [`StaticView`] that traces the static geometry
+//!   once so each frame only intersects the moving cylinders,
 //! * [`preprocess`](mod@preprocess) — the paper's Fig.-7 pipeline:
 //!   block-average downsampling, cropping to the informative region and
 //!   normalisation.
@@ -36,5 +37,5 @@ pub mod scene;
 pub use camera::PinholeCamera;
 pub use image::DepthImage;
 pub use preprocess::{preprocess, PreprocessConfig};
-pub use render::render_depth;
+pub use render::{render_depth, StaticView};
 pub use scene::{Scene, Vec3};

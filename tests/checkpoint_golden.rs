@@ -189,9 +189,11 @@ fn resume_in_a_fresh_process_matches_the_uninterrupted_digest() {
     drop(engine);
 
     // Re-execute this test binary filtered to the helper test: a genuinely
-    // fresh process resumes from disk and verifies the digest itself.
+    // fresh process resumes from disk and verifies the digest itself.  The
+    // child's output is captured, not inherited, so its harness lines never
+    // interleave with this process's own test report.
     let exe = std::env::current_exe().expect("test binary path");
-    let status = Command::new(exe)
+    let output = Command::new(exe)
         .args([
             "--exact",
             "helper_resume_from_disk_in_child_process",
@@ -201,9 +203,15 @@ fn resume_in_a_fresh_process_matches_the_uninterrupted_digest() {
         ])
         .env(CHILD_DIR_ENV, &dir)
         .env(CHILD_DIGEST_ENV, reference.digest().to_string())
-        .status()
+        .output()
         .expect("child test process spawns");
-    assert!(status.success(), "fresh-process resume failed: {status}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success() && stdout.contains("1 passed"),
+        "fresh-process resume failed: {}\n--- child stdout ---\n{stdout}\n--- child stderr ---\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
