@@ -48,7 +48,6 @@ use vvd_serve::{
     BatchCounters, LoadGenerator, ReportAssemblyError, ServeReport, ServeSpecError, SessionSpec,
     SynthCounters,
 };
-use vvd_testbed::stream::EstimatorTrace;
 use vvd_testbed::EvalConfig;
 
 /// How the coordinator materialises its workers.
@@ -349,11 +348,7 @@ pub fn serve_cluster_detailed(
     for (id, spec) in specs.iter().enumerate() {
         parts[id % workers].push(AssignedSession {
             id: id as u64,
-            scenario: spec.scenario.clone(),
-            estimator: spec.estimator.clone(),
-            interval_ticks: spec.interval_ticks,
-            offset_ticks: spec.offset_ticks,
-            combination: spec.combination as u64,
+            spec: spec.clone(),
         });
     }
 
@@ -504,27 +499,19 @@ pub fn serve_cluster_detailed(
     // worker surfaces as a typed merge error, never a mis-zipped report.
     session_reports.sort_by_key(|r| r.id);
 
-    let meta: Vec<(usize, String, String, usize)> = session_reports
-        .iter()
-        .map(|r| {
-            (
-                r.id as usize,
-                r.scenario.clone(),
-                r.label.clone(),
-                r.packets_streamed as usize,
-            )
-        })
-        .collect();
-    let traces: Vec<EstimatorTrace> = session_reports
+    let (meta, traces): (Vec<_>, Vec<_>) = session_reports
         .into_iter()
-        .map(|r| EstimatorTrace {
-            label: r.label,
-            scored: r.scored,
-            estimates: r.estimates,
-            truths: r.truths,
-            per_packet: r.per_packet,
+        .map(|r| {
+            let label = r.trace.label.clone();
+            let meta = (
+                r.id as usize,
+                r.scenario,
+                label,
+                r.packets_streamed as usize,
+            );
+            (meta, r.trace)
         })
-        .collect();
+        .unzip();
 
     let mut report = ServeReport::assemble_complete(
         specs.len(),

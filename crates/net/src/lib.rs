@@ -9,16 +9,20 @@
 //!
 //! Layers, bottom up:
 //!
-//! * [`wire`] — a dependency-free framed wire protocol: length-prefixed
-//!   binary frames (`magic · version · kind · len`), a deterministic
-//!   little-endian [`WireCodec`] for every payload type (floats travel as
-//!   IEEE-754 bit patterns), and typed [`WireError`]s for every way a
-//!   stream can be truncated, corrupted or oversized — decoding never
-//!   panics and never allocates from an untrusted length.
+//! * [`wire`] — `vvd-serve`'s binary codec, re-exported: length-prefixed
+//!   frames (`magic · version · kind · len`), a deterministic
+//!   little-endian [`WireCodec`] (floats travel as IEEE-754 bit patterns),
+//!   and typed [`WireError`]s for every way a stream can be truncated,
+//!   corrupted or oversized — decoding never panics and never allocates
+//!   from an untrusted length.  Engine checkpoints are frames of the same
+//!   codec, so one codec carries every byte that leaves a process.
 //! * [`message`] — the nine-message cluster protocol
 //!   ([`Hello`](message::Hello) … [`Message::Shutdown`]), including the
 //!   checkpoint/resume pair ([`CheckpointFrame`](message::CheckpointFrame),
 //!   [`ResumeSessions`](message::ResumeSessions)) behind crash recovery.
+//!   Messages carry serve's own types ([`SessionSpec`](vvd_serve::SessionSpec),
+//!   [`EstimatorTrace`](vvd_testbed::stream::EstimatorTrace), the run
+//!   counters) through their codec impls.
 //! * [`transport`] — who carries the frames: in-process loopback channel
 //!   pairs, worker-side stdio, coordinator-side child processes.
 //! * [`worker`] / [`cluster`] — the two protocol roles: a worker wraps a
@@ -44,8 +48,9 @@
 pub mod cluster;
 pub mod message;
 pub mod transport;
-pub mod wire;
 pub mod worker;
+
+pub use vvd_serve::wire;
 
 pub use cluster::{
     serve_cluster, serve_cluster_detailed, ClusterError, ClusterOptions, ClusterRun, InjectedFault,

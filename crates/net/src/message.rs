@@ -19,12 +19,13 @@
 //! floats travel as IEEE-754 bit patterns, so the traces a coordinator
 //! collects are **bit-identical** to the worker's in-memory traces — the
 //! foundation of the cluster-equals-single-process digest guarantee.
+//! Messages carry serve's own types ([`SessionSpec`], [`EstimatorTrace`],
+//! the run counters), encoded by their impls in [`wire`](crate::wire).
 
 use crate::wire::{Decoder, Encoder, WireCodec, WireError};
-use vvd_dsp::{Complex, FirFilter};
 use vvd_estimation::ModelCacheStats;
-use vvd_phy::DecodeOutcome;
-use vvd_serve::{BatchCounters, SynthCounters};
+use vvd_serve::{BatchCounters, SessionSpec, SynthCounters};
+use vvd_testbed::stream::EstimatorTrace;
 
 /// First frame a worker sends: proves the channel is alive and framed
 /// correctly before any work is assigned.
@@ -34,22 +35,14 @@ pub struct Hello {
     pub pid: u64,
 }
 
-/// One session assignment: the session's workload-global id plus its spec
-/// fields (the worker rebuilds the `SessionSpec` verbatim).
+/// One session assignment: the session's workload-global id plus its
+/// spec, which the worker builds verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssignedSession {
     /// Workload-global session id (index into the full spec list).
     pub id: u64,
-    /// Scenario spec string.
-    pub scenario: String,
-    /// Estimator spec string.
-    pub estimator: String,
-    /// Packet arrival period in ticks.
-    pub interval_ticks: u64,
-    /// First-arrival tick.
-    pub offset_ticks: u64,
-    /// Set-combination index.
-    pub combination: u64,
+    /// The session's spec.
+    pub spec: SessionSpec,
 }
 
 /// The coordinator's work order: everything a worker needs to rebuild its
@@ -93,18 +86,11 @@ pub struct SessionReport {
     pub id: u64,
     /// Scenario spec of the session.
     pub scenario: String,
-    /// Estimator label the session reports under.
-    pub label: String,
     /// Packets streamed (warm-up included).
     pub packets_streamed: u64,
-    /// Decode outcomes of scored, decodable packets.
-    pub scored: Vec<DecodeOutcome>,
-    /// One outcome per scored packet including skips.
-    pub per_packet: Vec<DecodeOutcome>,
-    /// The (phase-aligned) estimates used on scored packets.
-    pub estimates: Vec<FirFilter>,
-    /// The matching perfect CIRs.
-    pub truths: Vec<FirFilter>,
+    /// The session's trace; its label is the one the session reports
+    /// under.
+    pub trace: EstimatorTrace,
 }
 
 /// End-of-run accounting a worker reports after its last session trace:
@@ -125,10 +111,10 @@ pub struct CacheStats {
 
 /// An engine checkpoint in transit: the worker's
 /// [`EngineCheckpoint`](vvd_serve::EngineCheckpoint) already encoded as a
-/// self-delimiting `VVDC` frame.  The coordinator keeps it opaque — it
-/// only ever stores the latest frame per worker and hands it back in a
-/// [`ResumeSessions`] — so the checkpoint layout can evolve without the
-/// cluster protocol noticing.
+/// self-delimiting wire frame of kind
+/// [`CHECKPOINT_KIND`](vvd_serve::CHECKPOINT_KIND).  The coordinator keeps
+/// it opaque: it only ever stores the latest frame per worker and hands
+/// it back in a [`ResumeSessions`], and never decodes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointFrame {
     /// The encoded checkpoint frame.
@@ -263,20 +249,12 @@ impl WireCodec for Hello {
 impl WireCodec for AssignedSession {
     fn encode(&self, enc: &mut Encoder) {
         self.id.encode(enc);
-        self.scenario.encode(enc);
-        self.estimator.encode(enc);
-        self.interval_ticks.encode(enc);
-        self.offset_ticks.encode(enc);
-        self.combination.encode(enc);
+        self.spec.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(AssignedSession {
             id: u64::decode(dec)?,
-            scenario: String::decode(dec)?,
-            estimator: String::decode(dec)?,
-            interval_ticks: u64::decode(dec)?,
-            offset_ticks: u64::decode(dec)?,
-            combination: u64::decode(dec)?,
+            spec: SessionSpec::decode(dec)?,
         })
     }
 }
@@ -339,62 +317,19 @@ impl WireCodec for TickBarrier {
     }
 }
 
-impl WireCodec for DecodeOutcome {
-    fn encode(&self, enc: &mut Encoder) {
-        self.crc_ok.encode(enc);
-        self.chip_errors.encode(enc);
-        self.chip_count.encode(enc);
-        self.symbol_errors.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(DecodeOutcome {
-            crc_ok: bool::decode(dec)?,
-            chip_errors: usize::decode(dec)?,
-            chip_count: usize::decode(dec)?,
-            symbol_errors: usize::decode(dec)?,
-        })
-    }
-}
-
-impl WireCodec for FirFilter {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.len() as u32);
-        for tap in self.taps().iter() {
-            tap.re.encode(enc);
-            tap.im.encode(enc);
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let len = dec.take_u32("filter tap count")? as usize;
-        let mut taps = Vec::new();
-        for _ in 0..len {
-            taps.push(Complex::new(f64::decode(dec)?, f64::decode(dec)?));
-        }
-        Ok(FirFilter::from_taps(&taps))
-    }
-}
-
 impl WireCodec for SessionReport {
     fn encode(&self, enc: &mut Encoder) {
         self.id.encode(enc);
         self.scenario.encode(enc);
-        self.label.encode(enc);
         self.packets_streamed.encode(enc);
-        self.scored.encode(enc);
-        self.per_packet.encode(enc);
-        self.estimates.encode(enc);
-        self.truths.encode(enc);
+        self.trace.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(SessionReport {
             id: u64::decode(dec)?,
             scenario: String::decode(dec)?,
-            label: String::decode(dec)?,
             packets_streamed: u64::decode(dec)?,
-            scored: Vec::<DecodeOutcome>::decode(dec)?,
-            per_packet: Vec::<DecodeOutcome>::decode(dec)?,
-            estimates: Vec::<FirFilter>::decode(dec)?,
-            truths: Vec::<FirFilter>::decode(dec)?,
+            trace: EstimatorTrace::decode(dec)?,
         })
     }
 }
@@ -402,38 +337,16 @@ impl WireCodec for SessionReport {
 impl WireCodec for CacheStats {
     fn encode(&self, enc: &mut Encoder) {
         self.ticks.encode(enc);
-        self.cache.hits.encode(enc);
-        self.cache.disk_hits.encode(enc);
-        self.cache.misses.encode(enc);
-        self.cache.evictions.encode(enc);
-        self.cache.entries.encode(enc);
-        self.batches.batch_calls.encode(enc);
-        self.batches.images.encode(enc);
-        self.batches.max_batch.encode(enc);
-        self.synth.requests.encode(enc);
-        self.synth.syntheses.encode(enc);
-        self.synth.peak_resident_bytes.encode(enc);
+        self.cache.encode(enc);
+        self.batches.encode(enc);
+        self.synth.encode(enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(CacheStats {
             ticks: u64::decode(dec)?,
-            cache: ModelCacheStats {
-                hits: u64::decode(dec)?,
-                disk_hits: u64::decode(dec)?,
-                misses: u64::decode(dec)?,
-                evictions: u64::decode(dec)?,
-                entries: usize::decode(dec)?,
-            },
-            batches: BatchCounters {
-                batch_calls: u64::decode(dec)?,
-                images: u64::decode(dec)?,
-                max_batch: usize::decode(dec)?,
-            },
-            synth: SynthCounters {
-                requests: u64::decode(dec)?,
-                syntheses: u64::decode(dec)?,
-                peak_resident_bytes: u64::decode(dec)?,
-            },
+            cache: ModelCacheStats::decode(dec)?,
+            batches: BatchCounters::decode(dec)?,
+            synth: SynthCounters::decode(dec)?,
         })
     }
 }
@@ -441,6 +354,10 @@ impl WireCodec for CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{read_frame, write_frame};
+    use vvd_dsp::{Complex, FirFilter};
+    use vvd_phy::DecodeOutcome;
+    use vvd_serve::{CheckpointError, EngineCheckpoint, CHECKPOINT_KIND};
 
     fn sample_messages() -> Vec<Message> {
         vec![
@@ -452,11 +369,13 @@ mod tests {
                 config_json: "{\"n_sets\":3}".into(),
                 sessions: vec![AssignedSession {
                     id: 7,
-                    scenario: "rician:k=6,doppler=30".into(),
-                    estimator: "fallback:preamble,vvd:current".into(),
-                    interval_ticks: 3,
-                    offset_ticks: 1,
-                    combination: 0,
+                    spec: SessionSpec {
+                        scenario: "rician:k=6,doppler=30".into(),
+                        estimator: "fallback:preamble,vvd:current".into(),
+                        interval_ticks: 3,
+                        offset_ticks: 1,
+                        combination: 0,
+                    },
                 }],
                 checkpoints: true,
             }),
@@ -467,20 +386,22 @@ mod tests {
             Message::SessionReport(SessionReport {
                 id: 7,
                 scenario: "paper".into(),
-                label: "VVD".into(),
                 packets_streamed: 24,
-                scored: vec![DecodeOutcome {
-                    crc_ok: true,
-                    chip_errors: 3,
-                    chip_count: 1024,
-                    symbol_errors: 1,
-                }],
-                per_packet: vec![],
-                estimates: vec![FirFilter::from_taps(&[
-                    Complex::new(1.25e-3, -7.5e-4),
-                    Complex::new(-0.0, f64::MIN_POSITIVE),
-                ])],
-                truths: vec![FirFilter::from_taps(&[Complex::new(0.5, 0.25)])],
+                trace: EstimatorTrace {
+                    label: "VVD".into(),
+                    scored: vec![DecodeOutcome {
+                        crc_ok: true,
+                        chip_errors: 3,
+                        chip_count: 1024,
+                        symbol_errors: 1,
+                    }],
+                    per_packet: vec![],
+                    estimates: vec![FirFilter::from_taps(&[
+                        Complex::new(1.25e-3, -7.5e-4),
+                        Complex::new(-0.0, f64::MIN_POSITIVE),
+                    ])],
+                    truths: vec![FirFilter::from_taps(&[Complex::new(0.5, 0.25)])],
+                },
             }),
             Message::CacheStats(CacheStats {
                 ticks: 99,
@@ -543,6 +464,36 @@ mod tests {
             Message::decode_payload(0xFFFF, &[]),
             Err(WireError::UnknownKind { found: 0xFFFF })
         ));
+
+        // Checkpoints and messages share the frame format but not a kind:
+        // neither decoder accepts the other's frames.
+        assert!(!kinds.contains(&CHECKPOINT_KIND));
+        let checkpoint = EngineCheckpoint {
+            ticks: 3,
+            batches: BatchCounters::default(),
+            sessions: Vec::new(),
+        };
+        let frame = checkpoint.to_frame().unwrap();
+        let (kind, payload) = read_frame(&mut frame.as_slice()).unwrap();
+        assert!(matches!(
+            Message::decode_payload(kind, &payload),
+            Err(WireError::UnknownKind {
+                found: CHECKPOINT_KIND
+            })
+        ));
+        for msg in msgs {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, msg.kind(), &msg.encode_payload()).unwrap();
+            assert!(
+                matches!(
+                    EngineCheckpoint::from_frame(&frame),
+                    Err(CheckpointError::Wire(WireError::UnknownKind { found }))
+                        if found == msg.kind()
+                ),
+                "{} frame decoded as a checkpoint",
+                msg.name()
+            );
+        }
     }
 
     #[test]

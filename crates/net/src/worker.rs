@@ -14,7 +14,9 @@
 //! cluster-wide: the first worker to need a model trains and publishes it,
 //! every later worker loads it from disk.
 
-use crate::message::{AssignSessions, CacheStats, CheckpointFrame, Hello, Message, TickBarrier};
+use crate::message::{
+    AssignSessions, CacheStats, CheckpointFrame, Hello, Message, SessionReport, TickBarrier,
+};
 use crate::transport::{StdioTransport, Transport};
 use crate::wire::WireError;
 use vvd_estimation::ModelCache;
@@ -92,16 +94,12 @@ pub fn run_worker<T: Transport>(transport: &mut T) -> Result<(), WireError> {
     // Drained: stream one report per session (ascending global id — the
     // subset order build_assigned preserved), then the run accounting.
     let report = engine.finish();
-    for (summary, trace) in report.sessions.iter().zip(&report.traces) {
-        transport.send(&Message::SessionReport(crate::message::SessionReport {
+    for (summary, trace) in report.sessions.iter().zip(report.traces) {
+        transport.send(&Message::SessionReport(SessionReport {
             id: summary.session_id as u64,
             scenario: summary.scenario.clone(),
-            label: trace.label.clone(),
             packets_streamed: summary.packets_streamed as u64,
-            scored: trace.scored.clone(),
-            per_packet: trace.per_packet.clone(),
-            estimates: trace.estimates.clone(),
-            truths: trace.truths.clone(),
+            trace,
         }))?;
     }
     transport.send(&Message::CacheStats(CacheStats {
@@ -182,18 +180,7 @@ fn build_engine(
     let assigned: Vec<(usize, SessionSpec)> = assign
         .sessions
         .iter()
-        .map(|s| {
-            (
-                s.id as usize,
-                SessionSpec {
-                    scenario: s.scenario.clone(),
-                    estimator: s.estimator.clone(),
-                    interval_ticks: s.interval_ticks,
-                    offset_ticks: s.offset_ticks,
-                    combination: s.combination as usize,
-                },
-            )
-        })
+        .map(|s| (s.id as usize, s.spec.clone()))
         .collect();
 
     let workload = LoadGenerator::new(config)

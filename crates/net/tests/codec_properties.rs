@@ -1,17 +1,25 @@
-//! Property suite for the wire codec: whatever bytes arrive, decoding is
-//! total — it returns a value or a typed [`WireError`], never panics,
-//! never hangs, never allocates from an untrusted length — and whatever
-//! *valid* message leaves, it round-trips bit-exactly.
+//! Property suite for the one wire codec, over both byte formats that
+//! ride on it — cluster messages and engine checkpoint frames: whatever
+//! bytes arrive, decoding is total — it returns a value or a typed
+//! [`WireError`], never panics, never hangs, never allocates from an
+//! untrusted length — and whatever *valid* value leaves, it round-trips
+//! bit-exactly.
 
 use proptest::prelude::*;
-use vvd_estimation::ModelCacheStats;
+use vvd_core::ModelKey;
+use vvd_estimation::{EstimatorState, KalmanTapState, ModelCacheStats};
 use vvd_net::message::{
     AssignSessions, AssignedSession, CacheStats, CheckpointFrame, Hello, Message, ResumeSessions,
     SessionReport, TickBarrier,
 };
 use vvd_net::wire::{read_frame, write_frame, WireError, MAX_FRAME_PAYLOAD};
 use vvd_phy::DecodeOutcome;
-use vvd_serve::{BatchCounters, SynthCounters};
+use vvd_serve::checkpoint::MAX_STATE_DEPTH;
+use vvd_serve::{
+    BatchCounters, CheckpointError, EngineCheckpoint, SessionCheckpoint, SessionSpec,
+    SynthCounters, CHECKPOINT_KIND,
+};
+use vvd_testbed::stream::EstimatorTrace;
 
 /// A random-but-valid message assembled from drawn primitives.  Floats are
 /// drawn as raw bit patterns (NaNs and infinities included), so round
@@ -40,11 +48,13 @@ fn build_message(selector: usize, words: &[u64], text: &str, flags: (bool, bool)
         sessions: (0..words.len() % 4)
             .map(|i| AssignedSession {
                 id: word(i),
-                scenario: text.to_string(),
-                estimator: text.chars().rev().collect(),
-                interval_ticks: word(i + 1),
-                offset_ticks: word(i + 2),
-                combination: word(i + 3),
+                spec: SessionSpec {
+                    scenario: text.to_string(),
+                    estimator: text.chars().rev().collect(),
+                    interval_ticks: word(i + 1),
+                    offset_ticks: word(i + 2),
+                    combination: word(i + 3) as usize,
+                },
             })
             .collect(),
         checkpoints: flags.1,
@@ -59,12 +69,14 @@ fn build_message(selector: usize, words: &[u64], text: &str, flags: (bool, bool)
         3 => Message::SessionReport(SessionReport {
             id: word(0),
             scenario: text.to_string(),
-            label: text.to_uppercase(),
             packets_streamed: word(1),
-            scored: (0..words.len() % 5).map(outcome).collect(),
-            per_packet: (0..words.len() % 3).map(outcome).collect(),
-            estimates: (0..words.len() % 3).map(filter).collect(),
-            truths: (0..words.len() % 3).map(filter).collect(),
+            trace: EstimatorTrace {
+                label: text.to_uppercase(),
+                scored: (0..words.len() % 5).map(outcome).collect(),
+                per_packet: (0..words.len() % 3).map(outcome).collect(),
+                estimates: (0..words.len() % 3).map(filter).collect(),
+                truths: (0..words.len() % 3).map(filter).collect(),
+            },
         }),
         4 => Message::CacheStats(CacheStats {
             ticks: word(0),
@@ -99,6 +111,97 @@ fn build_message(selector: usize, words: &[u64], text: &str, flags: (bool, bool)
         _ => Message::Error {
             message: text.to_string(),
         },
+    }
+}
+
+/// A float from a drawn word, with NaN payloads (quiet and signalling),
+/// −0 and the infinities over-represented: uniform words almost never hit
+/// them.
+fn float_from(w: u64) -> f64 {
+    f64::from_bits(match w % 8 {
+        0 => 0x7FF8_0000_0000_0000 | (w >> 8),
+        1 => 0x7FF0_0000_0000_0001,
+        2 => (-0.0f64).to_bits(),
+        3 => f64::INFINITY.to_bits() | (w & 1) << 63,
+        _ => w,
+    })
+}
+
+/// A random-but-valid engine checkpoint assembled from drawn primitives.
+/// Session `i`'s estimator state is a fallback chain of
+/// `1 + (levels + i) % MAX_STATE_DEPTH` levels over the leaf shapes, so
+/// drawing `levels` from `0..MAX_STATE_DEPTH` reaches every depth up to
+/// the deepest tree a frame may hold.
+fn build_checkpoint(selector: usize, words: &[u64], text: &str, levels: usize) -> EngineCheckpoint {
+    let word = |i: usize| words[i % words.len().max(1)];
+    let complex = |i: usize| vvd_dsp::Complex::new(float_from(word(i)), float_from(word(i + 1)));
+    let complexes = |i: usize, n: usize| (0..n).map(|t| complex(i + t)).collect::<Vec<_>>();
+    let filter = |i: usize| vvd_dsp::FirFilter::from_taps(&complexes(i, (word(i) % 5) as usize));
+    let outcome = |i: usize| DecodeOutcome {
+        crc_ok: word(i) % 2 == 0,
+        chip_errors: word(i + 1) as usize,
+        chip_count: word(i + 2) as usize,
+        symbol_errors: word(i + 3) as usize,
+    };
+    // Every leaf shape of an estimator state.
+    let leaf = |shape: usize| match shape % 5 {
+        0 => EstimatorState::Stateless,
+        1 => EstimatorState::Previous {
+            history: (0..word(shape) % 4)
+                .map(|i| filter(shape + i as usize))
+                .collect(),
+        },
+        2 => EstimatorState::AgedPreamble {
+            history: (0..word(shape) % 4)
+                .map(|i| (word(i as usize) % 2 == 0).then(|| filter(shape + i as usize)))
+                .collect(),
+        },
+        3 => EstimatorState::Kalman {
+            taps: (0..word(shape) % 3)
+                .map(|i| {
+                    let order = (word(shape + i as usize) % 4) as usize;
+                    KalmanTapState {
+                        state: complexes(shape, order),
+                        cov: complexes(shape + 1, order * order),
+                        history: complexes(shape + 2, order / 2),
+                    }
+                })
+                .collect(),
+        },
+        _ => EstimatorState::Vvd {
+            key: (word(shape) % 2 == 0).then(|| ModelKey::from_parts(word(1), word(2))),
+        },
+    };
+    let chain = |shape: usize, depth: usize| {
+        (1..depth).fold(leaf(shape), |inner, level| EstimatorState::Fallback {
+            primary: Box::new(leaf(shape + level)),
+            secondary: Box::new(inner),
+        })
+    };
+    EngineCheckpoint {
+        ticks: word(0),
+        batches: BatchCounters {
+            batch_calls: word(1),
+            images: word(2),
+            max_batch: word(3) as usize,
+        },
+        sessions: (0..1 + words.len() % 3)
+            .map(|i| SessionCheckpoint {
+                id: word(i) as usize,
+                scenario: text.to_string(),
+                interval: word(i + 1),
+                next_due: word(i + 2),
+                cursor: word(i + 3) as usize,
+                estimator: chain(selector + i, 1 + (levels + i) % MAX_STATE_DEPTH),
+                trace: EstimatorTrace {
+                    label: text.to_uppercase(),
+                    scored: (0..words.len() % 5).map(outcome).collect(),
+                    per_packet: (0..words.len() % 3).map(outcome).collect(),
+                    estimates: (0..words.len() % 3).map(filter).collect(),
+                    truths: (0..words.len() % 3).map(filter).collect(),
+                },
+            })
+            .collect(),
     }
 }
 
@@ -245,6 +348,88 @@ proptest! {
 
         if let Ok((kind, payload)) = read_frame(&mut framed.as_slice()) {
             let _ = Message::decode_payload(kind, &payload);
+        }
+    }
+    /// Valid checkpoints survive `to_frame → from_frame → to_frame` with
+    /// byte-identical frames: every state shape, fallback chains up to the
+    /// depth limit, and raw float bit patterns (NaN payloads, −0).
+    #[test]
+    fn checkpoints_round_trip_to_byte_identical_frames(
+        selector in 0usize..5,
+        words in proptest::collection::vec(any::<u64>(), 1..12),
+        text_bytes in proptest::collection::vec(any::<u8>(), 0..40),
+        levels in 0usize..MAX_STATE_DEPTH,
+    ) {
+        let text = String::from_utf8_lossy(&text_bytes).into_owned();
+        let checkpoint = build_checkpoint(selector, &words, &text, levels);
+        let frame = checkpoint.to_frame().unwrap();
+        let decoded = EngineCheckpoint::from_frame(&frame).unwrap();
+        prop_assert_eq!(decoded.sessions.len(), checkpoint.sessions.len());
+        prop_assert_eq!(decoded.to_frame().unwrap(), frame);
+    }
+
+    /// Arbitrary bytes — bare, or as the payload of a well-formed
+    /// checkpoint header — never panic the checkpoint decoder: every
+    /// failure is a typed wire error.
+    #[test]
+    fn random_bytes_never_panic_the_checkpoint_decoder(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, CHECKPOINT_KIND, &bytes).unwrap();
+        for input in [&bytes, &framed] {
+            if let Err(err) = EngineCheckpoint::from_frame(input) {
+                prop_assert!(
+                    matches!(err, CheckpointError::Wire(_)),
+                    "unexpected error class: {:?}", err
+                );
+            }
+        }
+    }
+
+    /// Every strict prefix of a valid checkpoint frame is truncated: the
+    /// header pins the payload length, so no cut decodes.
+    #[test]
+    fn every_strict_prefix_of_a_checkpoint_frame_is_truncated(
+        selector in 0usize..5,
+        words in proptest::collection::vec(any::<u64>(), 1..6),
+        levels in 0usize..MAX_STATE_DEPTH,
+        cut_point in any::<prop::sample::Index>(),
+    ) {
+        let frame = build_checkpoint(selector, &words, "труба-77", levels)
+            .to_frame()
+            .unwrap();
+        let cut = cut_point.index(frame.len());
+        let err = EngineCheckpoint::from_frame(&frame[..cut])
+            .expect_err("a strict prefix must not decode");
+        prop_assert!(
+            matches!(err, CheckpointError::Wire(WireError::Truncated { .. })),
+            "cut at {} of {}: unexpected error {:?}", cut, frame.len(), err
+        );
+    }
+
+    /// Flipping any single byte of a valid checkpoint frame never panics
+    /// the decoder.  Decoding is canonical, so a flipped frame that still
+    /// decodes re-encodes to exactly the flipped bytes.
+    #[test]
+    fn single_byte_corruption_of_a_checkpoint_is_handled_totally(
+        selector in 0usize..5,
+        words in proptest::collection::vec(any::<u64>(), 1..6),
+        levels in 0usize..MAX_STATE_DEPTH,
+        flip_at in any::<prop::sample::Index>(),
+        flip_with in 1u8..=255,
+    ) {
+        let mut frame = build_checkpoint(selector, &words, "frame", levels)
+            .to_frame()
+            .unwrap();
+        let at = flip_at.index(frame.len());
+        frame[at] ^= flip_with;
+        match EngineCheckpoint::from_frame(&frame) {
+            Ok(decoded) => prop_assert_eq!(decoded.to_frame().unwrap(), frame),
+            Err(err) => prop_assert!(
+                matches!(err, CheckpointError::Wire(_)),
+                "flip at {}: unexpected error {:?}", at, err
+            ),
         }
     }
 }

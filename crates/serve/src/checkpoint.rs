@@ -1,5 +1,5 @@
-//! Durable session checkpoints: versioned binary frames that carry a
-//! serve engine's *streaming* state across process boundaries.
+//! Durable session checkpoints: an engine's *streaming* state as one
+//! [`wire`](crate::wire) frame, carried across process boundaries.
 //!
 //! A checkpoint is taken only at a tick boundary (no session holds a
 //! pending half-served packet) and records, per session, exactly the
@@ -18,21 +18,22 @@
 //!
 //! # Frame layout
 //!
-//! The encoding follows the `vvd-net` wire-codec conventions — explicit
-//! little-endian integers, floats as IEEE-754 bit patterns, length-
-//! prefixed sequences decoded element-wise (never allocated from an
-//! untrusted length), total decoding with a typed [`CheckpointError`] for
-//! every way a frame can be truncated, corrupted or oversized:
+//! A checkpoint is one wire frame of kind [`CHECKPOINT_KIND`], so it
+//! shares the cluster messages' header (magic, protocol version, 64 MiB
+//! payload cap), their conventions (little-endian integers, floats as
+//! IEEE-754 bit patterns, length-prefixed sequences decoded element-wise)
+//! and their typed errors, wrapped as [`CheckpointError::Wire`].  The
+//! payload is the [`WireCodec`] encoding of [`EngineCheckpoint`]:
 //!
 //! ```text
-//! frame   := magic "VVDC" · version u16 · len u32 · payload
-//! payload := ticks u64 · batches · n_sessions u64 · session*
+//! payload := ticks u64 · batches · session*
 //! batches := batch_calls u64 · images u64 · max_batch u64
-//! session := id u64 · scenario str · label str · interval u64
-//!            · next_due u64 · cursor u64 · estimator state · trace
+//! session := id u64 · scenario str · interval u64 · next_due u64
+//!            · cursor u64 · estimator state · trace
 //! trace   := label str · outcome* · outcome* · fir* · fir*   (scored,
-//!            per-packet, estimates, truths; each length-prefixed)
-//! state   := tag u8 · variant payload (recursive for fallback)
+//!            per-packet, estimates, truths)
+//! state   := tag u8 · variant payload (recursive for fallback, at most
+//!            MAX_STATE_DEPTH levels)
 //! ```
 //!
 //! Frames are self-delimiting, so a [`CheckpointStore`] can keep many and
@@ -40,27 +41,29 @@
 //! one (`load_latest` skips frames that fail to decode).
 
 use crate::planner::BatchCounters;
+use crate::wire::{split_frame, write_frame, Decoder, Encoder, WireCodec, WireError};
 use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use vvd_core::ModelKey;
-use vvd_dsp::{CVec, Complex, FirFilter};
 use vvd_estimation::{EstimatorState, KalmanTapState, StateError};
-use vvd_phy::DecodeOutcome;
 use vvd_testbed::stream::EstimatorTrace;
 
-/// Leading magic of every checkpoint frame.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"VVDC";
+/// Frame kind of a checkpoint, outside the cluster message kinds 1–9: a
+/// message frame handed to [`EngineCheckpoint::from_frame`], or a
+/// checkpoint frame handed to the message decoder, fails with
+/// [`WireError::UnknownKind`].
+pub const CHECKPOINT_KIND: u16 = 0x0100;
 
-/// Version of the checkpoint frame layout.
-pub const CHECKPOINT_VERSION: u16 = 1;
+/// Most levels an [`EstimatorState`] tree may have in a frame (a leaf is
+/// one level, each enclosing fallback one more).  The decoder refuses
+/// deeper trees, so [`EngineCheckpoint::to_frame`] refuses to write them.
+pub const MAX_STATE_DEPTH: usize = 16;
 
-/// Upper bound on a frame's payload size — large enough for any real
-/// workload snapshot, small enough that a corrupt length field cannot
-/// drive decoding into absurd territory.
-pub const MAX_CHECKPOINT_PAYLOAD: u32 = 64 * 1024 * 1024;
+/// Why a state tree is refused, on encode and on decode alike.
+const TOO_DEEP: &str = "estimator state nesting too deep";
 
 /// Everything that can go wrong writing, reading or applying a
 /// checkpoint.
@@ -68,38 +71,11 @@ pub const MAX_CHECKPOINT_PAYLOAD: u32 = 64 * 1024 * 1024;
 pub enum CheckpointError {
     /// An underlying I/O failure (store directory, file read/write).
     Io(io::Error),
-    /// The frame does not start with [`CHECKPOINT_MAGIC`].
-    BadMagic {
-        /// The four bytes actually found.
-        found: [u8; 4],
-    },
-    /// The frame's version is not [`CHECKPOINT_VERSION`].
-    UnsupportedVersion {
-        /// The version actually found.
-        found: u16,
-    },
-    /// The frame ended before the named field was complete.
-    Truncated {
-        /// Which field was being decoded.
-        context: &'static str,
-    },
-    /// A field decoded but its value is invalid.
-    Malformed {
-        /// Which field was invalid.
-        context: &'static str,
-    },
-    /// The frame decoded completely but bytes were left over.
-    TrailingBytes {
-        /// How many bytes were left.
-        extra: usize,
-    },
-    /// The frame's payload length — declared in a frame being decoded,
-    /// or actual in a checkpoint being encoded — exceeds
-    /// [`MAX_CHECKPOINT_PAYLOAD`].
-    FrameTooLarge {
-        /// The payload length in bytes.
-        len: u64,
-    },
+    /// The frame cannot be written or read: a bad header, truncation, a
+    /// malformed field, trailing bytes, a payload over the cap, a frame of
+    /// another kind, or an estimator state deeper than
+    /// [`MAX_STATE_DEPTH`].
+    Wire(WireError),
     /// A checkpoint was requested mid-tick: the session still holds a
     /// prepared-but-uncompleted packet.  Checkpoints are only taken at
     /// tick boundaries.
@@ -136,30 +112,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::BadMagic { found } => {
-                write!(f, "bad checkpoint magic {found:02x?}")
-            }
-            CheckpointError::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported checkpoint version {found} (expected {CHECKPOINT_VERSION})"
-                )
-            }
-            CheckpointError::Truncated { context } => {
-                write!(f, "checkpoint frame truncated while decoding {context}")
-            }
-            CheckpointError::Malformed { context } => {
-                write!(f, "malformed checkpoint field: {context}")
-            }
-            CheckpointError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after checkpoint payload")
-            }
-            CheckpointError::FrameTooLarge { len } => {
-                write!(
-                    f,
-                    "checkpoint payload of {len} bytes exceeds the {MAX_CHECKPOINT_PAYLOAD}-byte budget"
-                )
-            }
+            CheckpointError::Wire(e) => write!(f, "checkpoint frame: {e}"),
             CheckpointError::MidTick { session } => {
                 write!(
                     f,
@@ -189,6 +142,7 @@ impl Error for CheckpointError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
+            CheckpointError::Wire(e) => Some(e),
             CheckpointError::State { error, .. } => Some(error),
             _ => None,
         }
@@ -201,11 +155,17 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        CheckpointError::Wire(e)
+    }
+}
+
 /// The checkpointed streaming state of one [`LinkSession`](crate::LinkSession).
 ///
-/// No `PartialEq`: [`EstimatorTrace`] does not compare, and checkpoint
-/// equality is defined at the *frame* level anyway — two checkpoints are
-/// the same exactly when their [`EngineCheckpoint::to_frame`] bytes are.
+/// Two checkpoints are the same exactly when their
+/// [`EngineCheckpoint::to_frame`] bytes are: derived `PartialEq` would
+/// call a NaN estimate unequal to itself, frame bytes compare its bits.
 #[derive(Debug, Clone)]
 pub struct SessionCheckpoint {
     /// Workload-wide session id.
@@ -213,8 +173,6 @@ pub struct SessionCheckpoint {
     /// Scenario spec the session's campaign was generated from (resume
     /// validation: the rebuilt session must match).
     pub scenario: String,
-    /// Label the session reports under.
-    pub label: String,
     /// Arrival period in ticks.
     pub interval: u64,
     /// Tick of the next packet arrival.
@@ -223,7 +181,8 @@ pub struct SessionCheckpoint {
     pub cursor: usize,
     /// The estimator's streaming state.
     pub estimator: EstimatorState,
-    /// The accumulated trace up to the checkpoint tick.
+    /// The accumulated trace up to the checkpoint tick; its label is the
+    /// one the session reports under.
     pub trace: EstimatorTrace,
 }
 
@@ -240,442 +199,181 @@ pub struct EngineCheckpoint {
 }
 
 impl EngineCheckpoint {
-    /// Encodes the checkpoint as one self-delimiting versioned frame.
+    /// Encodes the checkpoint as one wire frame of kind
+    /// [`CHECKPOINT_KIND`].
     ///
     /// # Errors
-    /// [`CheckpointError::FrameTooLarge`] when the payload exceeds
-    /// [`MAX_CHECKPOINT_PAYLOAD`], i.e. when
-    /// [`from_frame`](Self::from_frame) would refuse the frame.
+    /// [`WireError::Malformed`] when a session's estimator state is deeper
+    /// than [`MAX_STATE_DEPTH`], and [`WireError::FrameTooLarge`] when the
+    /// payload exceeds the frame cap — exactly the frames
+    /// [`from_frame`](Self::from_frame) would refuse.
     pub fn to_frame(&self) -> Result<Vec<u8>, CheckpointError> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.ticks);
-        put_u64(&mut payload, self.batches.batch_calls);
-        put_u64(&mut payload, self.batches.images);
-        put_u64(&mut payload, self.batches.max_batch as u64);
-        put_u64(&mut payload, self.sessions.len() as u64);
-        for session in &self.sessions {
-            put_u64(&mut payload, session.id as u64);
-            put_str(&mut payload, &session.scenario);
-            put_str(&mut payload, &session.label);
-            put_u64(&mut payload, session.interval);
-            put_u64(&mut payload, session.next_due);
-            put_u64(&mut payload, session.cursor as u64);
-            put_state(&mut payload, &session.estimator);
-            put_trace(&mut payload, &session.trace);
+        if self
+            .sessions
+            .iter()
+            .any(|s| state_depth(&s.estimator) > MAX_STATE_DEPTH)
+        {
+            return Err(WireError::Malformed { context: TOO_DEEP }.into());
         }
-        if payload.len() as u64 > MAX_CHECKPOINT_PAYLOAD as u64 {
-            return Err(CheckpointError::FrameTooLarge {
-                len: payload.len() as u64,
-            });
-        }
-        let mut frame = Vec::with_capacity(4 + 2 + 4 + payload.len());
-        frame.extend_from_slice(&CHECKPOINT_MAGIC);
-        frame.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut payload = Encoder::new();
+        self.encode(&mut payload);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, CHECKPOINT_KIND, &payload.into_bytes())?;
         Ok(frame)
     }
 
     /// Decodes one frame, totally: every error path (wrong magic, wrong
-    /// version, truncation, oversized length, trailing bytes) is a typed
-    /// [`CheckpointError`], never a panic, and no allocation is sized
-    /// from an untrusted length.
+    /// version, wrong kind, truncation, oversized length, trailing bytes)
+    /// is a typed [`CheckpointError::Wire`], never a panic, and no
+    /// allocation is sized from an untrusted length.
     pub fn from_frame(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut dec = Dec::new(bytes);
-        let magic = dec.take(4, "magic")?;
-        if magic != CHECKPOINT_MAGIC {
-            let mut found = [0u8; 4];
-            found.copy_from_slice(magic);
-            return Err(CheckpointError::BadMagic { found });
+        let (kind, payload) = split_frame(bytes)?;
+        if kind != CHECKPOINT_KIND {
+            return Err(WireError::UnknownKind { found: kind }.into());
         }
-        let version = dec.take_u16("version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion { found: version });
-        }
-        let len = dec.take_u32("payload length")?;
-        if len > MAX_CHECKPOINT_PAYLOAD {
-            return Err(CheckpointError::FrameTooLarge { len: len as u64 });
-        }
-        if dec.remaining() != len as usize {
-            // The declared length must match the carried payload exactly:
-            // less is truncation, more is trailing garbage.
-            if dec.remaining() < len as usize {
-                return Err(CheckpointError::Truncated { context: "payload" });
-            }
-            return Err(CheckpointError::TrailingBytes {
-                extra: dec.remaining() - len as usize,
-            });
-        }
-
-        let ticks = dec.take_u64("ticks")?;
-        let batches = BatchCounters {
-            batch_calls: dec.take_u64("batch calls")?,
-            images: dec.take_u64("batch images")?,
-            max_batch: dec.take_u64("max batch")? as usize,
-        };
-        let n_sessions = dec.take_u64("session count")?;
-        let mut sessions = Vec::new();
-        for _ in 0..n_sessions {
-            let id = dec.take_u64("session id")? as usize;
-            let scenario = take_str(&mut dec, "session scenario")?;
-            let label = take_str(&mut dec, "session label")?;
-            let interval = dec.take_u64("session interval")?;
-            let next_due = dec.take_u64("session next-due tick")?;
-            let cursor = dec.take_u64("session cursor")? as usize;
-            let estimator = take_state(&mut dec, 0)?;
-            let trace = take_trace(&mut dec)?;
-            sessions.push(SessionCheckpoint {
-                id,
-                scenario,
-                label,
-                interval,
-                next_due,
-                cursor,
-                estimator,
-                trace,
-            });
-        }
+        let mut dec = Decoder::new(payload);
+        let checkpoint = EngineCheckpoint::decode(&mut dec)?;
         dec.finish()?;
+        Ok(checkpoint)
+    }
+}
+
+impl WireCodec for EngineCheckpoint {
+    fn encode(&self, enc: &mut Encoder) {
+        self.ticks.encode(enc);
+        self.batches.encode(enc);
+        self.sessions.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(EngineCheckpoint {
-            ticks,
-            batches,
-            sessions,
+            ticks: u64::decode(dec)?,
+            batches: BatchCounters::decode(dec)?,
+            sessions: Vec::decode(dec)?,
         })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoding primitives (little-endian, following the vvd-net conventions)
-// ---------------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_complex(out: &mut Vec<u8>, c: Complex) {
-    put_f64(out, c.re);
-    put_f64(out, c.im);
-}
-
-fn put_fir(out: &mut Vec<u8>, f: &FirFilter) {
-    put_u64(out, f.len() as u64);
-    for &tap in f.taps().iter() {
-        put_complex(out, tap);
+impl WireCodec for SessionCheckpoint {
+    fn encode(&self, enc: &mut Encoder) {
+        self.id.encode(enc);
+        self.scenario.encode(enc);
+        self.interval.encode(enc);
+        self.next_due.encode(enc);
+        self.cursor.encode(enc);
+        self.estimator.encode(enc);
+        self.trace.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(SessionCheckpoint {
+            id: usize::decode(dec)?,
+            scenario: String::decode(dec)?,
+            interval: u64::decode(dec)?,
+            next_due: u64::decode(dec)?,
+            cursor: usize::decode(dec)?,
+            estimator: EstimatorState::decode(dec)?,
+            trace: EstimatorTrace::decode(dec)?,
+        })
     }
 }
 
-fn put_outcome(out: &mut Vec<u8>, o: &DecodeOutcome) {
-    put_u8(out, u8::from(o.crc_ok));
-    put_u64(out, o.chip_errors as u64);
-    put_u64(out, o.chip_count as u64);
-    put_u64(out, o.symbol_errors as u64);
-}
-
-fn put_trace(out: &mut Vec<u8>, t: &EstimatorTrace) {
-    put_str(out, &t.label);
-    put_u64(out, t.scored.len() as u64);
-    for o in &t.scored {
-        put_outcome(out, o);
-    }
-    put_u64(out, t.per_packet.len() as u64);
-    for o in &t.per_packet {
-        put_outcome(out, o);
-    }
-    put_u64(out, t.estimates.len() as u64);
-    for f in &t.estimates {
-        put_fir(out, f);
-    }
-    put_u64(out, t.truths.len() as u64);
-    for f in &t.truths {
-        put_fir(out, f);
-    }
-}
-
-fn put_state(out: &mut Vec<u8>, state: &EstimatorState) {
+/// Levels of a state tree: one for a leaf, one more per enclosing
+/// fallback.
+fn state_depth(state: &EstimatorState) -> usize {
     match state {
-        EstimatorState::Stateless => put_u8(out, 0),
-        EstimatorState::Previous { history } => {
-            put_u8(out, 1);
-            put_u64(out, history.len() as u64);
-            for f in history {
-                put_fir(out, f);
-            }
-        }
-        EstimatorState::AgedPreamble { history } => {
-            put_u8(out, 2);
-            put_u64(out, history.len() as u64);
-            for entry in history {
-                match entry {
-                    Some(f) => {
-                        put_u8(out, 1);
-                        put_fir(out, f);
-                    }
-                    None => put_u8(out, 0),
-                }
-            }
-        }
-        EstimatorState::Kalman { taps } => {
-            put_u8(out, 3);
-            put_u64(out, taps.len() as u64);
-            for tap in taps {
-                put_u64(out, tap.state.len() as u64);
-                for &c in &tap.state {
-                    put_complex(out, c);
-                }
-                for &c in &tap.cov {
-                    put_complex(out, c);
-                }
-                put_u64(out, tap.history.len() as u64);
-                for &c in &tap.history {
-                    put_complex(out, c);
-                }
-            }
-        }
-        EstimatorState::Vvd { key } => {
-            put_u8(out, 4);
-            match key {
-                Some(k) => {
-                    put_u8(out, 1);
-                    let (a, b) = k.to_parts();
-                    put_u64(out, a);
-                    put_u64(out, b);
-                }
-                None => put_u8(out, 0),
-            }
-        }
         EstimatorState::Fallback { primary, secondary } => {
-            put_u8(out, 5);
-            put_state(out, primary);
-            put_state(out, secondary);
+            1 + state_depth(primary).max(state_depth(secondary))
         }
+        _ => 1,
     }
 }
 
-// ---------------------------------------------------------------------------
-// Decoding primitives (total: typed errors, no untrusted-length allocation)
-// ---------------------------------------------------------------------------
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CheckpointError> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated { context });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn take_u8(&mut self, context: &'static str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn take_u16(&mut self, context: &'static str) -> Result<u16, CheckpointError> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn take_u32(&mut self, context: &'static str) -> Result<u32, CheckpointError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn take_u64(&mut self, context: &'static str) -> Result<u64, CheckpointError> {
-        let b = self.take(8, context)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    fn take_f64(&mut self, context: &'static str) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.take_u64(context)?))
-    }
-
-    fn finish(&self) -> Result<(), CheckpointError> {
-        if self.remaining() != 0 {
-            return Err(CheckpointError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-}
-
-fn take_str(dec: &mut Dec<'_>, context: &'static str) -> Result<String, CheckpointError> {
-    let len = dec.take_u64(context)? as usize;
-    let bytes = dec.take(len, context)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| CheckpointError::Malformed { context })
-}
-
-fn take_complex(dec: &mut Dec<'_>, context: &'static str) -> Result<Complex, CheckpointError> {
-    Ok(Complex::new(dec.take_f64(context)?, dec.take_f64(context)?))
-}
-
-fn take_fir(dec: &mut Dec<'_>, context: &'static str) -> Result<FirFilter, CheckpointError> {
-    let len = dec.take_u64(context)?;
-    // Element-wise: the Vec grows as real bytes are consumed, so a corrupt
-    // length can only run into `Truncated`, never a huge allocation.
-    let mut taps = Vec::new();
-    for _ in 0..len {
-        taps.push(take_complex(dec, context)?);
-    }
-    Ok(FirFilter::new(CVec(taps)))
-}
-
-fn take_outcome(
-    dec: &mut Dec<'_>,
-    context: &'static str,
-) -> Result<DecodeOutcome, CheckpointError> {
-    let crc = dec.take_u8(context)?;
-    if crc > 1 {
-        return Err(CheckpointError::Malformed { context });
-    }
-    Ok(DecodeOutcome {
-        crc_ok: crc == 1,
-        chip_errors: dec.take_u64(context)? as usize,
-        chip_count: dec.take_u64(context)? as usize,
-        symbol_errors: dec.take_u64(context)? as usize,
-    })
-}
-
-fn take_trace(dec: &mut Dec<'_>) -> Result<EstimatorTrace, CheckpointError> {
-    let label = take_str(dec, "trace label")?;
-    let n_scored = dec.take_u64("scored count")?;
-    let mut scored = Vec::new();
-    for _ in 0..n_scored {
-        scored.push(take_outcome(dec, "scored outcome")?);
-    }
-    let n_per_packet = dec.take_u64("per-packet count")?;
-    let mut per_packet = Vec::new();
-    for _ in 0..n_per_packet {
-        per_packet.push(take_outcome(dec, "per-packet outcome")?);
-    }
-    let n_estimates = dec.take_u64("estimate count")?;
-    let mut estimates = Vec::new();
-    for _ in 0..n_estimates {
-        estimates.push(take_fir(dec, "estimate taps")?);
-    }
-    let n_truths = dec.take_u64("truth count")?;
-    let mut truths = Vec::new();
-    for _ in 0..n_truths {
-        truths.push(take_fir(dec, "truth taps")?);
-    }
-    Ok(EstimatorTrace {
-        label,
-        scored,
-        estimates,
-        truths,
-        per_packet,
-    })
-}
-
-/// Guard against unboundedly recursive (corrupt) fallback nesting.
-const MAX_STATE_DEPTH: u8 = 16;
-
-fn take_state(dec: &mut Dec<'_>, depth: u8) -> Result<EstimatorState, CheckpointError> {
-    if depth >= MAX_STATE_DEPTH {
-        return Err(CheckpointError::Malformed {
-            context: "estimator state nesting too deep",
-        });
-    }
-    match dec.take_u8("estimator state tag")? {
-        0 => Ok(EstimatorState::Stateless),
-        1 => {
-            let n = dec.take_u64("previous history count")?;
-            let mut history = Vec::new();
-            for _ in 0..n {
-                history.push(take_fir(dec, "previous history taps")?);
+impl WireCodec for EstimatorState {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            EstimatorState::Stateless => enc.put_u8(0),
+            EstimatorState::Previous { history } => {
+                enc.put_u8(1);
+                history.encode(enc);
             }
-            Ok(EstimatorState::Previous { history })
-        }
-        2 => {
-            let n = dec.take_u64("aged-preamble history count")?;
-            let mut history = Vec::new();
-            for _ in 0..n {
-                match dec.take_u8("aged-preamble entry tag")? {
-                    0 => history.push(None),
-                    1 => history.push(Some(take_fir(dec, "aged-preamble taps")?)),
-                    _ => {
-                        return Err(CheckpointError::Malformed {
-                            context: "aged-preamble entry tag",
-                        })
-                    }
-                }
+            EstimatorState::AgedPreamble { history } => {
+                enc.put_u8(2);
+                history.encode(enc);
             }
-            Ok(EstimatorState::AgedPreamble { history })
-        }
-        3 => {
-            let n_taps = dec.take_u64("kalman tap count")?;
-            let mut taps = Vec::new();
-            for _ in 0..n_taps {
-                let order = dec.take_u64("kalman order")? as usize;
-                let mut state = Vec::new();
-                for _ in 0..order {
-                    state.push(take_complex(dec, "kalman state")?);
-                }
-                let mut cov = Vec::new();
-                for _ in 0..order.saturating_mul(order) {
-                    cov.push(take_complex(dec, "kalman covariance")?);
-                }
-                let n_history = dec.take_u64("kalman history count")?;
-                let mut history = Vec::new();
-                for _ in 0..n_history {
-                    history.push(take_complex(dec, "kalman history")?);
-                }
-                taps.push(KalmanTapState {
-                    state,
-                    cov,
-                    history,
-                });
+            EstimatorState::Kalman { taps } => {
+                enc.put_u8(3);
+                taps.encode(enc);
             }
-            Ok(EstimatorState::Kalman { taps })
-        }
-        4 => match dec.take_u8("vvd key tag")? {
-            0 => Ok(EstimatorState::Vvd { key: None }),
-            1 => {
-                let a = dec.take_u64("vvd key")?;
-                let b = dec.take_u64("vvd key")?;
-                Ok(EstimatorState::Vvd {
-                    key: Some(ModelKey::from_parts(a, b)),
-                })
+            EstimatorState::Vvd { key } => {
+                enc.put_u8(4);
+                key.encode(enc);
             }
-            _ => Err(CheckpointError::Malformed {
-                context: "vvd key tag",
-            }),
+            EstimatorState::Fallback { primary, secondary } => {
+                enc.put_u8(5);
+                primary.encode(enc);
+                secondary.encode(enc);
+            }
+        }
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        decode_state(dec, 1)
+    }
+}
+
+/// Decodes a state tree whose root sits at level `depth`, refusing any
+/// level past [`MAX_STATE_DEPTH`] before reading it.
+fn decode_state(dec: &mut Decoder<'_>, depth: usize) -> Result<EstimatorState, WireError> {
+    if depth > MAX_STATE_DEPTH {
+        return Err(WireError::Malformed { context: TOO_DEEP });
+    }
+    Ok(match dec.take_u8("estimator state tag")? {
+        0 => EstimatorState::Stateless,
+        1 => EstimatorState::Previous {
+            history: Vec::decode(dec)?,
         },
-        5 => {
-            let primary = Box::new(take_state(dec, depth + 1)?);
-            let secondary = Box::new(take_state(dec, depth + 1)?);
-            Ok(EstimatorState::Fallback { primary, secondary })
+        2 => EstimatorState::AgedPreamble {
+            history: Vec::decode(dec)?,
+        },
+        3 => EstimatorState::Kalman {
+            taps: Vec::decode(dec)?,
+        },
+        4 => EstimatorState::Vvd {
+            key: Option::decode(dec)?,
+        },
+        5 => EstimatorState::Fallback {
+            primary: Box::new(decode_state(dec, depth + 1)?),
+            secondary: Box::new(decode_state(dec, depth + 1)?),
+        },
+        _ => {
+            return Err(WireError::Malformed {
+                context: "estimator state tag",
+            })
         }
-        _ => Err(CheckpointError::Malformed {
-            context: "estimator state tag",
-        }),
+    })
+}
+
+impl WireCodec for KalmanTapState {
+    fn encode(&self, enc: &mut Encoder) {
+        self.state.encode(enc);
+        self.cov.encode(enc);
+        self.history.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(KalmanTapState {
+            state: Vec::decode(dec)?,
+            cov: Vec::decode(dec)?,
+            history: Vec::decode(dec)?,
+        })
+    }
+}
+
+impl WireCodec for ModelKey {
+    fn encode(&self, enc: &mut Encoder) {
+        let (a, b) = self.to_parts();
+        a.encode(enc);
+        b.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(ModelKey::from_parts(u64::decode(dec)?, u64::decode(dec)?))
     }
 }
 
@@ -704,6 +402,24 @@ pub trait CheckpointStore: Send {
     /// When frames exist but none decodes, the newest frame's decode
     /// error.
     fn load_latest(&self) -> Result<Option<EngineCheckpoint>, CheckpointError>;
+}
+
+/// The heal loop behind both stores' `load_latest`: the first attempt that
+/// decodes (attempts run newest first, and lazily, so the scan stops
+/// there), else the newest attempt's error, else `None` for no frames.
+fn newest_good(
+    attempts: impl Iterator<Item = Result<EngineCheckpoint, CheckpointError>>,
+) -> Result<Option<EngineCheckpoint>, CheckpointError> {
+    let mut newest_error = None;
+    for attempt in attempts {
+        match attempt {
+            Ok(checkpoint) => return Ok(Some(checkpoint)),
+            Err(e) => {
+                newest_error.get_or_insert(e);
+            }
+        }
+    }
+    newest_error.map_or(Ok(None), Err)
 }
 
 /// An in-memory [`CheckpointStore`]: every saved frame, in save order.
@@ -741,21 +457,12 @@ impl CheckpointStore for MemoryCheckpointStore {
     }
 
     fn load_latest(&self) -> Result<Option<EngineCheckpoint>, CheckpointError> {
-        let mut newest_error = None;
-        for (_, frame) in self.frames.iter().rev() {
-            match EngineCheckpoint::from_frame(frame) {
-                Ok(checkpoint) => return Ok(Some(checkpoint)),
-                Err(e) => {
-                    if newest_error.is_none() {
-                        newest_error = Some(e);
-                    }
-                }
-            }
-        }
-        match newest_error {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
+        newest_good(
+            self.frames
+                .iter()
+                .rev()
+                .map(|(_, frame)| EngineCheckpoint::from_frame(frame)),
+        )
     }
 }
 
@@ -810,21 +517,11 @@ impl CheckpointStore for DirCheckpointStore {
     }
 
     fn load_latest(&self) -> Result<Option<EngineCheckpoint>, CheckpointError> {
-        let mut newest_error = None;
-        for path in self.frame_paths_newest_first()? {
-            match load_checkpoint_file(&path) {
-                Ok(checkpoint) => return Ok(Some(checkpoint)),
-                Err(e) => {
-                    if newest_error.is_none() {
-                        newest_error = Some(e);
-                    }
-                }
-            }
-        }
-        match newest_error {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
+        newest_good(
+            self.frame_paths_newest_first()?
+                .iter()
+                .map(|path| load_checkpoint_file(path)),
+        )
     }
 }
 
@@ -842,6 +539,10 @@ pub fn load_checkpoint_file(path: &Path) -> Result<EngineCheckpoint, CheckpointE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MAX_FRAME_PAYLOAD;
+    use vvd_dsp::{CVec, Complex, FirFilter};
+    use vvd_estimation::EstimatorRegistry;
+    use vvd_phy::DecodeOutcome;
 
     fn fir(scale: f64, taps: usize) -> FirFilter {
         FirFilter::new(CVec(
@@ -872,7 +573,6 @@ mod tests {
                 SessionCheckpoint {
                     id: 0,
                     scenario: "paper".into(),
-                    label: "Ground Truth".into(),
                     interval: 1,
                     next_due: 42,
                     cursor: 12,
@@ -888,7 +588,6 @@ mod tests {
                 SessionCheckpoint {
                     id: 5,
                     scenario: "rician:k=6,doppler=30".into(),
-                    label: "Combined".into(),
                     interval: 3,
                     next_due: 44,
                     cursor: 4,
@@ -940,7 +639,7 @@ mod tests {
         for (a, b) in decoded.sessions.iter().zip(&checkpoint.sessions) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.scenario, b.scenario);
-            assert_eq!(a.label, b.label);
+            assert_eq!(a.trace.label, b.trace.label);
             assert_eq!(a.interval, b.interval);
             assert_eq!(a.next_due, b.next_due);
             assert_eq!(a.cursor, b.cursor);
@@ -961,7 +660,7 @@ mod tests {
         bad[0] = b'X';
         assert!(matches!(
             EngineCheckpoint::from_frame(&bad),
-            Err(CheckpointError::BadMagic { .. })
+            Err(CheckpointError::Wire(WireError::BadMagic { .. }))
         ));
 
         // Wrong version.
@@ -969,7 +668,9 @@ mod tests {
         bad[4] = 99;
         assert!(matches!(
             EngineCheckpoint::from_frame(&bad),
-            Err(CheckpointError::UnsupportedVersion { found: 99 })
+            Err(CheckpointError::Wire(WireError::UnsupportedVersion {
+                found: 99
+            }))
         ));
 
         // Truncation at every cut: any prefix must fail with a typed
@@ -980,7 +681,9 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    CheckpointError::Truncated { .. } | CheckpointError::Malformed { .. }
+                    CheckpointError::Wire(
+                        WireError::Truncated { .. } | WireError::Malformed { .. }
+                    )
                 ),
                 "cut at {cut} produced {err:?}"
             );
@@ -991,15 +694,15 @@ mod tests {
         bad.push(0);
         assert!(matches!(
             EngineCheckpoint::from_frame(&bad),
-            Err(CheckpointError::TrailingBytes { extra: 1 })
+            Err(CheckpointError::Wire(WireError::TrailingBytes { extra: 1 }))
         ));
 
         // Oversized declared length.
         let mut bad = frame.clone();
-        bad[6..10].copy_from_slice(&(MAX_CHECKPOINT_PAYLOAD + 1).to_le_bytes());
+        bad[8..12].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
         assert!(matches!(
             EngineCheckpoint::from_frame(&bad),
-            Err(CheckpointError::FrameTooLarge { .. })
+            Err(CheckpointError::Wire(WireError::FrameTooLarge { .. }))
         ));
 
         // A corrupt interior length cannot trigger a huge allocation —
@@ -1021,14 +724,62 @@ mod tests {
             .push(fir(1.0, 4_200_000));
         assert!(matches!(
             checkpoint.to_frame(),
-            Err(CheckpointError::FrameTooLarge { len }) if len > MAX_CHECKPOINT_PAYLOAD as u64
+            Err(CheckpointError::Wire(WireError::FrameTooLarge { len }))
+                if len > MAX_FRAME_PAYLOAD as u64
         ));
         let mut store = MemoryCheckpointStore::new();
         assert!(matches!(
             store.save(&checkpoint),
-            Err(CheckpointError::FrameTooLarge { .. })
+            Err(CheckpointError::Wire(WireError::FrameTooLarge { .. }))
         ));
         assert!(store.frames().is_empty());
+    }
+
+    #[test]
+    fn state_trees_deeper_than_the_decoder_accepts_are_refused_on_encode() {
+        // The registry nests fallback chains without a bound.
+        let registry = EstimatorRegistry::new();
+        let chain = |fallbacks: usize| {
+            registry
+                .build(&("fallback:preamble,".repeat(fallbacks) + "standard"))
+                .unwrap()
+                .save_state()
+        };
+        let mut checkpoint = sample_checkpoint();
+
+        // Fifteen fallbacks make a 16-level tree: it round-trips.
+        checkpoint.sessions[1].estimator = chain(MAX_STATE_DEPTH - 1);
+        let frame = checkpoint.to_frame().unwrap();
+        let decoded = EngineCheckpoint::from_frame(&frame).unwrap();
+        assert_eq!(
+            decoded.sessions[1].estimator,
+            checkpoint.sessions[1].estimator
+        );
+
+        // Sixteen are one level too deep: refused before a byte is
+        // written, and a store saves nothing.
+        checkpoint.sessions[1].estimator = chain(MAX_STATE_DEPTH);
+        assert!(matches!(
+            checkpoint.to_frame(),
+            Err(CheckpointError::Wire(WireError::Malformed { .. }))
+        ));
+        let mut store = MemoryCheckpointStore::new();
+        assert!(matches!(
+            store.save(&checkpoint),
+            Err(CheckpointError::Wire(WireError::Malformed { .. }))
+        ));
+        assert!(store.frames().is_empty());
+
+        // The decoder's guard is the same bound: the frame to_frame
+        // refuses, framed by hand, does not read back.
+        let mut payload = Encoder::new();
+        checkpoint.encode(&mut payload);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, CHECKPOINT_KIND, &payload.into_bytes()).unwrap();
+        assert!(matches!(
+            EngineCheckpoint::from_frame(&frame),
+            Err(CheckpointError::Wire(WireError::Malformed { .. }))
+        ));
     }
 
     #[test]
@@ -1084,7 +835,7 @@ mod tests {
         fs::write(&newest, &bytes).unwrap();
         assert!(matches!(
             load_checkpoint_file(&newest),
-            Err(CheckpointError::Truncated { .. })
+            Err(CheckpointError::Wire(WireError::Truncated { .. }))
         ));
         // ...while load_latest heals to the previous good frame.
         assert_eq!(store.load_latest().unwrap().unwrap().ticks, 42);

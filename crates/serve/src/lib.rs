@@ -33,13 +33,20 @@
 //!   [`predict_batch`](vvd_core::VvdModel::predict_batch) call per
 //!   distinct model, amortising the cost that dominates per-packet CPU
 //!   time.
-//! * [`checkpoint`] — session durability: versioned binary
-//!   [`EngineCheckpoint`] frames carrying every session's *streaming*
-//!   state (cursor, trace, estimator state) across process boundaries,
-//!   with in-memory and on-disk [`CheckpointStore`]s.  Resuming from a
-//!   checkpoint is bit-identical to never having stopped, because fit
-//!   products are re-derived deterministically by the load generator and
-//!   only streaming position is restored.
+//! * [`wire`] — the workspace's one binary codec: length-prefixed frames
+//!   (`magic · version · kind · len`), the deterministic little-endian
+//!   [`WireCodec`](wire::WireCodec) (floats as IEEE-754 bit patterns)
+//!   with impls for the value types that leave a process, and typed
+//!   [`WireError`](wire::WireError)s for every way bytes can be
+//!   truncated, corrupted or oversized.  `vvd-net` re-exports it for its
+//!   cluster messages.
+//! * [`checkpoint`] — session durability: each [`EngineCheckpoint`] is one
+//!   wire frame of kind [`CHECKPOINT_KIND`] carrying every session's
+//!   *streaming* state (cursor, trace, estimator state) across process
+//!   boundaries, with in-memory and on-disk [`CheckpointStore`]s.
+//!   Resuming from a checkpoint is bit-identical to never having stopped,
+//!   because fit products are re-derived deterministically by the load
+//!   generator and only streaming position is restored.
 //! * [`serve`] / [`ServeReport`] — the tick loop and its accounting:
 //!   per-session PER/CER/MSE, throughput, batch occupancy, synthesis-memo
 //!   and model-cache counters, plus a stable outcome
@@ -69,10 +76,11 @@ pub mod report;
 pub mod session;
 pub mod store;
 pub mod timing;
+pub mod wire;
 
 pub use checkpoint::{
     load_checkpoint_file, CheckpointError, CheckpointStore, DirCheckpointStore, EngineCheckpoint,
-    MemoryCheckpointStore, SessionCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    MemoryCheckpointStore, SessionCheckpoint, CHECKPOINT_KIND,
 };
 pub use engine::{serve, ServeEngine, ServeOptions};
 pub use loadgen::{mixed_session_specs, LoadGenerator, ServeSpecError, Workload};

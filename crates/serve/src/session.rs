@@ -122,7 +122,6 @@ struct PendingPacket {
 pub struct LinkSession {
     id: usize,
     scenario: String,
-    label: String,
     campaign: Arc<Campaign>,
     /// The campaign's index in the workload (the first part of every
     /// [`SynthKey`] of this session).
@@ -162,7 +161,6 @@ impl LinkSession {
         LinkSession {
             id,
             scenario,
-            label: label.clone(),
             campaign,
             campaign_slot,
             combination,
@@ -195,7 +193,7 @@ impl LinkSession {
 
     /// The label the session's results are reported under.
     pub fn label(&self) -> &str {
-        &self.label
+        &self.trace.label
     }
 
     /// Number of test packets this session streams in total.
@@ -280,7 +278,6 @@ impl LinkSession {
         Ok(SessionCheckpoint {
             id: self.id,
             scenario: self.scenario.clone(),
-            label: self.label.clone(),
             interval: self.interval,
             next_due: self.next_due,
             cursor: self.cursor,
@@ -311,10 +308,10 @@ impl LinkSession {
                 self.scenario, ckpt.scenario
             )));
         }
-        if self.label != ckpt.label || self.trace.label != ckpt.trace.label {
+        if self.trace.label != ckpt.trace.label {
             return Err(mismatch(format!(
                 "label {:?} vs checkpointed {:?}",
-                self.label, ckpt.label
+                self.trace.label, ckpt.trace.label
             )));
         }
         if self.interval != ckpt.interval {

@@ -1,44 +1,62 @@
-//! The framed wire layer: a dependency-free, length-prefixed binary codec.
+//! The one binary codec of the workspace: a dependency-free,
+//! length-prefixed frame format and the [`WireCodec`] trait every byte
+//! format implements.
 //!
-//! Every message travels as one **frame**:
+//! Two formats ride on it: the cluster messages of `vvd-net` (which
+//! re-exports this module as `vvd_net::wire`) and the engine checkpoints
+//! of [`checkpoint`](crate::checkpoint), one frame of kind
+//! [`CHECKPOINT_KIND`](crate::checkpoint::CHECKPOINT_KIND) each.  Every
+//! value travels as one **frame**:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  = b"VVDN"
-//! 4       2     protocol version (little-endian u16, currently 2)
-//! 6       2     message kind     (little-endian u16)
+//! 4       2     protocol version (little-endian u16, currently 3)
+//! 6       2     kind             (little-endian u16)
 //! 8       4     payload length   (little-endian u32, <= MAX_FRAME_PAYLOAD)
-//! 12      n     payload          (message body, [`WireCodec`]-encoded)
+//! 12      n     payload          ([`WireCodec`]-encoded)
 //! ```
 //!
 //! All integers are little-endian; floats travel as their IEEE-754 bit
 //! patterns ([`f64::to_bits`]), so a decoded value is *bit-identical* to
 //! the encoded one — the property that lets a coordinator merge worker
-//! traces into a report whose digest matches the in-process run exactly.
+//! traces into a report whose digest matches the in-process run exactly,
+//! and a resumed engine continue exactly where its checkpoint stopped.
 //!
 //! # Robustness
 //!
 //! Decoding malformed input **never panics and never hangs**: truncated
 //! frames, oversized length prefixes, bad magic/version bytes, unknown
-//! message kinds, mid-frame EOF and trailing garbage all surface as typed
-//! [`WireError`]s (pinned by the adversarial-decode proptest suite).  An
-//! oversized length prefix is rejected *before* any allocation, and
-//! length-prefixed collections are decoded element by element, so a frame
-//! cannot force an allocation larger than the frame itself.
+//! kinds, mid-frame EOF and trailing garbage all surface as typed
+//! [`WireError`]s (pinned by the adversarial-decode proptest suite in
+//! `crates/net/tests/codec_properties.rs`).  An oversized length prefix is
+//! rejected *before* any allocation, and length-prefixed collections are
+//! decoded element by element, so a frame cannot force an allocation
+//! larger than the frame itself.
 
+use crate::memo::SynthCounters;
+use crate::planner::BatchCounters;
+use crate::session::SessionSpec;
 use std::fmt;
 use std::io::{Read, Write};
+use vvd_dsp::{CVec, Complex, FirFilter};
+use vvd_estimation::ModelCacheStats;
+use vvd_phy::DecodeOutcome;
+use vvd_testbed::stream::EstimatorTrace;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"VVDN";
 
 /// Version of the wire protocol (frame header field).
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on a frame's payload size (64 MiB).  Large enough for any
-/// serve trace the workspace produces, small enough that a corrupt or
-/// hostile length prefix cannot drive an enormous allocation.
+/// serve trace or checkpoint the workspace produces, small enough that a
+/// corrupt or hostile length prefix cannot drive an enormous allocation.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
+
+/// Size of the frame header (magic, version, kind, payload length).
+const HEADER_LEN: usize = 12;
 
 /// Everything that can go wrong on the wire.  Every decode failure is a
 /// typed error — malformed input never panics.
@@ -64,7 +82,9 @@ pub enum WireError {
         /// The version actually found.
         found: u16,
     },
-    /// The frame header named a message kind this build does not know.
+    /// The frame header named a kind this build does not know, or not the
+    /// kind the reader expected (a message frame handed to the checkpoint
+    /// decoder, or the reverse).
     UnknownKind {
         /// The kind tag actually found.
         found: u16,
@@ -107,7 +127,7 @@ impl fmt::Display for WireError {
                     "unsupported protocol version {found} (this build speaks {PROTOCOL_VERSION})"
                 )
             }
-            WireError::UnknownKind { found } => write!(f, "unknown message kind {found}"),
+            WireError::UnknownKind { found } => write!(f, "unknown frame kind {found}"),
             WireError::FrameTooLarge { len } => {
                 write!(
                     f,
@@ -411,7 +431,7 @@ pub fn write_frame(w: &mut impl Write, kind: u16, payload: &[u8]) -> Result<(), 
             len: payload.len() as u64,
         });
     }
-    let mut header = [0u8; 12];
+    let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&MAGIC);
     header[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     header[6..8].copy_from_slice(&kind.to_le_bytes());
@@ -420,6 +440,30 @@ pub fn write_frame(w: &mut impl Write, kind: u16, payload: &[u8]) -> Result<(), 
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
+}
+
+/// Checks a frame header — magic, version, payload cap — and returns the
+/// frame's `(kind, payload length)`.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u16, usize), WireError> {
+    let mut dec = Decoder::new(header);
+    let magic = dec.take(4, "frame magic")?;
+    if magic != MAGIC {
+        return Err(WireError::BadMagic {
+            found: [magic[0], magic[1], magic[2], magic[3]],
+        });
+    }
+    let version = dec.take_u16("frame version")?;
+    if version != PROTOCOL_VERSION {
+        return Err(WireError::UnsupportedVersion { found: version });
+    }
+    let kind = dec.take_u16("frame kind")?;
+    let len = dec.take_u32("frame length")?;
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(WireError::FrameTooLarge {
+            len: u64::from(len),
+        });
+    }
+    Ok((kind, len as usize))
 }
 
 /// Reads one frame from `r`, returning `(kind, payload)`.
@@ -431,7 +475,7 @@ pub fn write_frame(w: &mut impl Write, kind: u16, payload: &[u8]) -> Result<(), 
 /// # Errors
 /// Typed [`WireError`]s for every I/O, framing or size failure.
 pub fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), WireError> {
-    let mut header = [0u8; 12];
+    let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
     while filled < header.len() {
         let n = r.read(&mut header[filled..])?;
@@ -446,22 +490,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), WireError> {
         }
         filled += n;
     }
-    let magic: [u8; 4] = [header[0], header[1], header[2], header[3]];
-    if magic != MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != PROTOCOL_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version });
-    }
-    let kind = u16::from_le_bytes([header[6], header[7]]);
-    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::FrameTooLarge {
-            len: u64::from(len),
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let (kind, len) = parse_header(&header)?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             WireError::Truncated {
@@ -472,6 +502,162 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), WireError> {
         }
     })?;
     Ok((kind, payload))
+}
+
+/// Splits one whole frame held in memory into `(kind, payload)`, without
+/// copying.  The header is checked as in [`read_frame`], and the payload
+/// must fill the rest of `bytes` exactly; nothing is allocated.
+///
+/// # Errors
+/// [`WireError::Truncated`] when `bytes` ends before the declared payload
+/// does, [`WireError::TrailingBytes`] when it runs past it, and any header
+/// error.
+pub(crate) fn split_frame(bytes: &[u8]) -> Result<(u16, &[u8]), WireError> {
+    let Some((header, payload)) = bytes.split_first_chunk::<HEADER_LEN>() else {
+        return Err(WireError::Truncated {
+            context: "frame header",
+        });
+    };
+    let (kind, len) = parse_header(header)?;
+    if payload.len() < len {
+        return Err(WireError::Truncated {
+            context: "frame payload",
+        });
+    }
+    if payload.len() > len {
+        return Err(WireError::TrailingBytes {
+            extra: payload.len() - len,
+        });
+    }
+    Ok((kind, payload))
+}
+
+// ---------------------------------------------------------------------------
+// Workspace value types.  The orphan rule puts the impls for types of other
+// crates beside the trait; serve's own counters and specs sit with them.
+// ---------------------------------------------------------------------------
+
+impl WireCodec for Complex {
+    fn encode(&self, enc: &mut Encoder) {
+        self.re.encode(enc);
+        self.im.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(Complex::new(f64::decode(dec)?, f64::decode(dec)?))
+    }
+}
+
+impl WireCodec for FirFilter {
+    fn encode(&self, enc: &mut Encoder) {
+        self.taps().0.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(FirFilter::new(CVec(Vec::decode(dec)?)))
+    }
+}
+
+impl WireCodec for DecodeOutcome {
+    fn encode(&self, enc: &mut Encoder) {
+        self.crc_ok.encode(enc);
+        self.chip_errors.encode(enc);
+        self.chip_count.encode(enc);
+        self.symbol_errors.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(DecodeOutcome {
+            crc_ok: bool::decode(dec)?,
+            chip_errors: usize::decode(dec)?,
+            chip_count: usize::decode(dec)?,
+            symbol_errors: usize::decode(dec)?,
+        })
+    }
+}
+
+impl WireCodec for EstimatorTrace {
+    fn encode(&self, enc: &mut Encoder) {
+        self.label.encode(enc);
+        self.scored.encode(enc);
+        self.per_packet.encode(enc);
+        self.estimates.encode(enc);
+        self.truths.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(EstimatorTrace {
+            label: String::decode(dec)?,
+            scored: Vec::decode(dec)?,
+            per_packet: Vec::decode(dec)?,
+            estimates: Vec::decode(dec)?,
+            truths: Vec::decode(dec)?,
+        })
+    }
+}
+
+impl WireCodec for SessionSpec {
+    fn encode(&self, enc: &mut Encoder) {
+        self.scenario.encode(enc);
+        self.estimator.encode(enc);
+        self.interval_ticks.encode(enc);
+        self.offset_ticks.encode(enc);
+        self.combination.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(SessionSpec {
+            scenario: String::decode(dec)?,
+            estimator: String::decode(dec)?,
+            interval_ticks: u64::decode(dec)?,
+            offset_ticks: u64::decode(dec)?,
+            combination: usize::decode(dec)?,
+        })
+    }
+}
+
+impl WireCodec for BatchCounters {
+    fn encode(&self, enc: &mut Encoder) {
+        self.batch_calls.encode(enc);
+        self.images.encode(enc);
+        self.max_batch.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(BatchCounters {
+            batch_calls: u64::decode(dec)?,
+            images: u64::decode(dec)?,
+            max_batch: usize::decode(dec)?,
+        })
+    }
+}
+
+impl WireCodec for SynthCounters {
+    fn encode(&self, enc: &mut Encoder) {
+        self.requests.encode(enc);
+        self.syntheses.encode(enc);
+        self.peak_resident_bytes.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(SynthCounters {
+            requests: u64::decode(dec)?,
+            syntheses: u64::decode(dec)?,
+            peak_resident_bytes: u64::decode(dec)?,
+        })
+    }
+}
+
+impl WireCodec for ModelCacheStats {
+    fn encode(&self, enc: &mut Encoder) {
+        self.hits.encode(enc);
+        self.disk_hits.encode(enc);
+        self.misses.encode(enc);
+        self.evictions.encode(enc);
+        self.entries.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(ModelCacheStats {
+            hits: u64::decode(dec)?,
+            disk_hits: u64::decode(dec)?,
+            misses: u64::decode(dec)?,
+            evictions: u64::decode(dec)?,
+            entries: usize::decode(dec)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -588,6 +774,46 @@ mod tests {
         bad[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut bad.as_slice()),
+            Err(WireError::FrameTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn split_frame_checks_the_header_and_the_exact_length() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 0x0100, b"payload").unwrap();
+        assert_eq!(split_frame(&buf).unwrap(), (0x0100, b"payload".as_slice()));
+
+        // Every strict prefix is truncated, inside the header or after it.
+        for cut in 0..buf.len() {
+            assert!(matches!(
+                split_frame(&buf[..cut]),
+                Err(WireError::Truncated { .. })
+            ));
+        }
+
+        // A frame followed by anything is not one whole frame.
+        let mut long = buf.clone();
+        long.extend_from_slice(&[0, 0]);
+        assert!(matches!(
+            split_frame(&long),
+            Err(WireError::TrailingBytes { extra: 2 })
+        ));
+
+        // The header checks are read_frame's.
+        let mut bad = buf.clone();
+        bad[0] = b'X';
+        assert!(matches!(split_frame(&bad), Err(WireError::BadMagic { .. })));
+        let mut bad = buf.clone();
+        bad[4] = 99;
+        assert!(matches!(
+            split_frame(&bad),
+            Err(WireError::UnsupportedVersion { found: 99 })
+        ));
+        let mut bad = buf;
+        bad[8..12].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
+        assert!(matches!(
+            split_frame(&bad),
             Err(WireError::FrameTooLarge { .. })
         ));
     }

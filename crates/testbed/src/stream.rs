@@ -88,7 +88,7 @@ pub struct StreamOptions {
 }
 
 /// Per-estimator result of a streaming run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorTrace {
     /// The estimator's label.
     pub label: String,

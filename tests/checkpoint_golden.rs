@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
+use vvd::serve::wire::WireError;
 use vvd::serve::{
     load_checkpoint_file, serve, CheckpointError, CheckpointStore, DirCheckpointStore,
     EngineCheckpoint, LoadGenerator, ServeEngine, ServeOptions, SessionSpec, Workload,
@@ -240,7 +241,7 @@ fn disk_store_surfaces_typed_errors_and_heals_to_the_previous_good_frame() {
     std::fs::write(&truncated, &bytes[..bytes.len() - 7]).expect("writable");
     assert!(matches!(
         load_checkpoint_file(&truncated),
-        Err(CheckpointError::Truncated { .. })
+        Err(CheckpointError::Wire(WireError::Truncated { .. }))
     ));
 
     let mut wrong_version = bytes.clone();
@@ -250,7 +251,9 @@ fn disk_store_surfaces_typed_errors_and_heals_to_the_previous_good_frame() {
     std::fs::write(&versioned, &wrong_version).expect("writable");
     assert!(matches!(
         load_checkpoint_file(&versioned),
-        Err(CheckpointError::UnsupportedVersion { found: 0xEEEE })
+        Err(CheckpointError::Wire(WireError::UnsupportedVersion {
+            found: 0xEEEE
+        }))
     ));
 
     let mut corrupt = bytes.clone();
@@ -259,7 +262,7 @@ fn disk_store_surfaces_typed_errors_and_heals_to_the_previous_good_frame() {
     std::fs::write(&corrupted, &corrupt).expect("writable");
     assert!(matches!(
         load_checkpoint_file(&corrupted),
-        Err(CheckpointError::BadMagic { .. })
+        Err(CheckpointError::Wire(WireError::BadMagic { .. }))
     ));
 
     // load_latest skips all three damaged (lexicographically newer) files
