@@ -2,15 +2,19 @@
 //! and backward passes through the Fig.-8 CNN, one full training epoch, and
 //! the trained-model cache's hit-versus-miss cost.
 //!
-//! The forward/backward targets exercise the blocked-GEMM + batched-im2col
-//! kernels on the quick-preset architecture; the cache targets show what a
-//! content-addressed hit saves relative to retraining the same provenance.
+//! The forward/backward targets exercise the direct convolution kernels
+//! and the dense layers' GEMMs on the quick-preset architecture; the cache
+//! targets show what a content-addressed hit saves relative to retraining
+//! the same provenance.
 //!
-//! Before the criterion targets the binary times the GEMM shapes the
-//! workloads run, best of several repetitions each.  Set
-//! `VVD_BENCH_JSON=<path>` to write those timings as a JSON snapshot
-//! (`BENCH_nn.json` at the repo root is the committed reference of the
-//! tiny preset).
+//! Before the criterion targets the binary times the kernel passes the
+//! workloads run, best of several repetitions each: every quick-preset
+//! convolution layer's forward, input-gradient and weight-gradient pass on
+//! a 16-image training batch (the first layer's input gradient is never
+//! computed, see `Layer::backward_head`), and the dense layer's forward
+//! GEMM over 90 validation images.  Set `VVD_BENCH_JSON=<path>` to write
+//! those timings as a JSON snapshot (`BENCH_nn.json` at the repo root is
+//! the committed reference of the tiny preset).
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
@@ -18,7 +22,9 @@ use rand::SeedableRng;
 use vvd_core::{build_vvd_cnn, ModelKey, VvdConfig, VvdDataset, VvdModel, VvdSample, VvdVariant};
 use vvd_dsp::{Complex, FirFilter};
 use vvd_estimation::ModelCache;
-use vvd_nn::kernels::{gemm, gemm_at, gemm_bt};
+use vvd_nn::kernels::{
+    conv2d_forward, conv2d_input_grad, conv2d_weight_grad, gemm_bt, ConvGeometry,
+};
 use vvd_nn::loss::mse;
 use vvd_nn::{Nadam, Tensor, TrainConfig, Trainer};
 use vvd_vision::DepthImage;
@@ -143,63 +149,95 @@ fn bench_model_cache(c: &mut Criterion) {
     });
 }
 
-/// A GEMM entry point: `(a, b, m, k, n) -> c`.
-type Gemm = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
+/// Timed repetitions per pass; the minimum is reported.
+const REPS: usize = 15;
 
-/// The GEMM shapes the workloads run, `(op, kernel, m, k, n)` at the quick-preset
-/// architecture: the first and second conv layers' forward passes and the
-/// second one's backward-data pass on a 16-image training batch, and the
-/// dense layer's forward pass over 90 images.  The first three take the
-/// column-panelled branch of the kernels; the last fits in cache.
-const GEMM_SHAPES: [(&str, Gemm, usize, usize, usize); 4] = [
-    ("nn", gemm, 8, 9, 67584),
-    ("nn", gemm, 8, 72, 14784),
-    ("at", gemm_at, 72, 8, 14784),
-    ("bt", gemm_bt, 90, 288, 64),
-];
+/// Training mini-batch of the quick preset.
+const CONV_BATCH: usize = 16;
 
-/// Timed repetitions per shape; the minimum is reported.
-const GEMM_REPS: usize = 15;
+/// The dense GEMM the workloads run, `(m, k, n)`: the first dense layer's
+/// forward pass over 90 validation images at the quick preset.
+const DENSE_BT: (usize, usize, usize) = (90, 288, 64);
 
-/// One GEMM timing, ready for the JSON snapshot.
-struct GemmTiming {
-    op: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
+/// One kernel timing, ready for the JSON snapshot.
+struct PassTiming {
+    pass: String,
+    shape: String,
     best_ms: f64,
 }
 
-/// Best-of-[`GEMM_REPS`] wall time of each shape in [`GEMM_SHAPES`].
-fn gemm_timings() -> Vec<GemmTiming> {
-    GEMM_SHAPES
-        .iter()
-        .map(|&(op, kernel, m, k, n)| {
-            // Every orientation reads m·k and k·n operand elements.
-            let a: Vec<f32> = (0..m * k).map(|i| ((i as f32) * 0.29).sin()).collect();
-            let b: Vec<f32> = (0..k * n).map(|i| ((i as f32) * 0.41).cos()).collect();
-            let mut best = std::time::Duration::MAX;
-            for _ in 0..GEMM_REPS {
-                let start = std::time::Instant::now();
-                let c = kernel(&a, &b, m, k, n);
-                let elapsed = start.elapsed();
-                std::hint::black_box(c);
-                best = best.min(elapsed);
-            }
-            let best_ms = best.as_secs_f64() * 1e3;
-            println!("gemm {op} {m}x{k}x{n}: best of {GEMM_REPS} {best_ms:.3}ms");
-            GemmTiming {
-                op,
-                m,
-                k,
-                n,
-                best_ms,
-            }
-        })
-        .collect()
+/// Best-of-[`REPS`] wall time of `f`.
+fn best_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut best = std::time::Duration::MAX;
+    for _ in 0..REPS {
+        let start = std::time::Instant::now();
+        std::hint::black_box(f());
+        best = best.min(start.elapsed());
+    }
+    best.as_secs_f64() * 1e3
 }
 
-fn write_snapshot(rows: &[GemmTiming]) {
+/// Deterministic operand data.
+fn operand(len: usize, step: f32) -> Vec<f32> {
+    (0..len).map(|i| ((i as f32) * step).sin()).collect()
+}
+
+/// Best-of-[`REPS`] times of the quick preset's convolution passes and
+/// its dense GEMM.
+fn pass_timings() -> Vec<PassTiming> {
+    let cfg = VvdConfig::quick();
+    let (filters, n) = (cfg.conv_filters, CONV_BATCH);
+    let mut rows = Vec::new();
+    let (mut channels, mut h, mut w) = (1, 50, 90);
+    for layer in 1..=3 {
+        let geometry = ConvGeometry::valid(channels, h, w, 3);
+        let (oh, ow) = geometry.output_hw();
+        let x = operand(n * geometry.item_len(), 0.013);
+        let weight = operand(filters * geometry.patch(), 0.29);
+        let bias = operand(filters, 0.41);
+        let g = operand(n * filters * oh * ow, 0.07);
+        let shape = format!("{n}x{channels}x{h}x{w} * {filters}x{channels}x3x3");
+        let mut grad = vec![0.0f32; filters * geometry.patch()];
+        let mut time = |pass: &str, best_ms| {
+            rows.push(PassTiming {
+                pass: format!("conv{layer} {pass}"),
+                shape: shape.clone(),
+                best_ms,
+            })
+        };
+        time(
+            "forward",
+            best_ms(|| conv2d_forward(&x, n, &geometry, &weight, &bias, filters)),
+        );
+        if layer > 1 {
+            time(
+                "input_grad",
+                best_ms(|| conv2d_input_grad(&g, n, &geometry, &weight, filters)),
+            );
+        }
+        time(
+            "weight_grad",
+            best_ms(|| conv2d_weight_grad(&x, &g, n, &geometry, filters, &mut grad)),
+        );
+        (channels, h, w) = (filters, oh / 2, ow / 2);
+    }
+    let (m, k, dn) = DENSE_BT;
+    let (a, b) = (operand(m * k, 0.29), operand(dn * k, 0.41));
+    rows.push(PassTiming {
+        pass: "dense gemm_bt".to_string(),
+        shape: format!("{m}x{k}x{dn}"),
+        best_ms: best_ms(|| gemm_bt(&a, &b, m, k, dn)),
+    });
+    for r in &rows {
+        println!(
+            "{} [{}]: best of {REPS} {:.3}ms",
+            r.pass, r.shape, r.best_ms
+        );
+    }
+    rows
+}
+
+fn write_snapshot(rows: &[PassTiming]) {
     let Ok(path) = std::env::var("VVD_BENCH_JSON") else {
         return;
     };
@@ -207,20 +245,8 @@ fn write_snapshot(rows: &[GemmTiming]) {
         .iter()
         .map(|r| {
             format!(
-                concat!(
-                    "    {{\n",
-                    "      \"op\": {op:?},\n",
-                    "      \"m\": {m},\n",
-                    "      \"k\": {k},\n",
-                    "      \"n\": {n},\n",
-                    "      \"best_ms\": {best_ms:.3}\n",
-                    "    }}"
-                ),
-                op = r.op,
-                m = r.m,
-                k = r.k,
-                n = r.n,
-                best_ms = r.best_ms,
+                "    {{ \"pass\": {:?}, \"shape\": {:?}, \"best_ms\": {:.3} }}",
+                r.pass, r.shape, r.best_ms
             )
         })
         .collect();
@@ -229,12 +255,12 @@ fn write_snapshot(rows: &[GemmTiming]) {
             "{{\n",
             "  \"bench\": \"nn\",\n",
             "  \"preset\": {preset:?},\n",
-            "  \"gemm_reps\": {reps},\n",
-            "  \"gemm\": [\n{entries}\n  ]\n",
+            "  \"reps\": {reps},\n",
+            "  \"passes\": [\n{entries}\n  ]\n",
             "}}\n"
         ),
         preset = std::env::var("VVD_BENCH_PRESET").unwrap_or_else(|_| "tiny".to_string()),
-        reps = GEMM_REPS,
+        reps = REPS,
         entries = entries.join(",\n"),
     );
     std::fs::write(&path, json).expect("snapshot path is writable");
@@ -248,7 +274,7 @@ criterion_group! {
 }
 
 fn main() {
-    let rows = gemm_timings();
+    let rows = pass_timings();
     write_snapshot(&rows);
     benches();
 }

@@ -142,58 +142,6 @@ pub fn gemm_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     c
 }
 
-/// `C = A(m×k) · Bᵀ` where the rows of `B` are *strided* slices of a larger
-/// matrix: row `j` is `b[b_offset + j·b_stride .. + k]`.
-///
-/// Used by the convolution backward pass to compute one sample's
-/// weight-gradient partial out of the batched column matrix.  The kernel
-/// first transposes the strided block to a contiguous `(k × n)` scratch,
-/// then accumulates rank-1 updates with a `kk`-outer loop whose inner
-/// saxpy vectorises — per output element the products still arrive in
-/// ascending-`kk` order from a `+0.0` start, so for finite inputs the
-/// result is bit-identical to [`super::reference::matmul_bt`] on the
-/// equivalent contiguous `B` (the zero-skip differs from the reference
-/// only when a skipped `0.0` would have multiplied an `Inf`/`NaN`; see
-/// the module docs).
-pub fn gemm_bt_strided(
-    a: &[f32],
-    b: &[f32],
-    b_offset: usize,
-    b_stride: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "gemm_bt_strided: A size mismatch");
-    assert!(
-        n == 0 || b_offset + (n - 1) * b_stride + k <= b.len(),
-        "gemm_bt_strided: B slice out of bounds"
-    );
-    // bt[kk*n + j] = b[b_offset + j*b_stride + kk]
-    let mut bt = vec![0.0f32; k * n];
-    for j in 0..n {
-        let src = &b[b_offset + j * b_stride..b_offset + j * b_stride + k];
-        for (kk, &v) in src.iter().enumerate() {
-            bt[kk * n + j] = v;
-        }
-    }
-    let mut c = vec![0.0f32; m * n];
-    for kk in 0..k {
-        let b_row = &bt[kk * n..(kk + 1) * n];
-        for i in 0..m {
-            let a_val = a[i * k + kk];
-            if a_val == 0.0 {
-                continue;
-            }
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                *c_v += a_val * b_v;
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::reference;
@@ -249,23 +197,6 @@ mod tests {
                 reference::matmul_bt(&a, &b, m, k, n)
             );
         }
-    }
-
-    #[test]
-    fn strided_bt_equals_contiguous_bt_on_extracted_block() {
-        let (m, k, n) = (3, 5, 4);
-        let stride = 11;
-        let offset = 2;
-        let a = pattern(m * k, 0.4);
-        let big = pattern(offset + (n - 1) * stride + k, 0.6);
-        let mut contiguous = Vec::with_capacity(n * k);
-        for j in 0..n {
-            contiguous.extend_from_slice(&big[offset + j * stride..offset + j * stride + k]);
-        }
-        assert_eq!(
-            gemm_bt_strided(&a, &big, offset, stride, m, k, n),
-            reference::matmul_bt(&a, &contiguous, m, k, n)
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The compute kernels behind the layers: cache-blocked GEMM and the
-//! im2col convolution lowering.
+//! The compute kernels behind the layers: cache-blocked GEMM for the
+//! dense layers and direct convolution kernels for `Conv2d`.
 //!
 //! Every layer's arithmetic bottoms out in one of the kernels here.  The
 //! kernels are written around one hard invariant:
@@ -12,9 +12,11 @@
 //! > elements, never *within* one.
 //!
 //! This is what lets the evaluation goldens (`tests/parity_golden.rs`,
-//! `tests/scenario_golden.rs`) survive the kernel rewrite unchanged, and
-//! what makes a cached trained model indistinguishable from a freshly
-//! trained one.
+//! `tests/scenario_golden.rs`) survive kernel rewrites unchanged, and what
+//! makes a cached trained model indistinguishable from a freshly trained
+//! one.  The convolution kernels ([`conv2d_forward`], [`conv2d_input_grad`],
+//! [`conv2d_weight_grad`]) read the `[N, C, H, W]` tensors in place; no
+//! column matrix is built.
 //!
 //! Two well-definedness notes the property tests rely on:
 //!
@@ -22,20 +24,22 @@
 //!   adding its product, because an accumulator that starts at `+0.0` and
 //!   only ever has values added to it can never become `-0.0` (IEEE 754
 //!   round-to-nearest: `x + y == -0.0` only when both `x` and `y` are
-//!   `-0.0`).  The kernels therefore use zero-skips freely for speed.
-//!   The equivalence assumes finite data: a skipped `0.0` that would have
+//!   `-0.0`), and adding `±0.0` to anything else leaves it unchanged.  So a
+//!   kernel may keep or drop a zero-skip its reference has: the GEMMs skip
+//!   zero `A` entries, the convolution kernels skip nothing.  The
+//!   equivalence assumes finite data: a skipped `0.0` that would have
 //!   multiplied an `Inf`/`NaN` suppresses the `NaN` a no-skip kernel
 //!   produces.  Training that reaches non-finite values is broken either
 //!   way, so the kernels do not pay to preserve `NaN` propagation.
 //! * Worker threads only ever write disjoint, contiguous row chunks of the
 //!   output, so the result is bit-identical at any worker count.
 
+mod conv;
 mod gemm;
-mod im2col;
 pub mod reference;
 
-pub use gemm::{gemm, gemm_at, gemm_bt, gemm_bt_strided};
-pub use im2col::{col2im_item, im2col, im2col_batch, ConvGeometry};
+pub use conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grad, ConvGeometry};
+pub use gemm::{gemm, gemm_at, gemm_bt};
 
 /// Number of workers available to the kernels: the `VVD_WORKERS`
 /// environment variable when set to a positive integer, the hardware

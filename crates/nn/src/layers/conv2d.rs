@@ -1,19 +1,18 @@
-//! 2-D convolution (valid padding, stride 1) via batched im2col + GEMM.
+//! 2-D convolution (valid padding, stride 1) via direct kernels.
 //!
 //! The paper's CNN (Fig. 8) stacks 3 × 3 convolutions with ReLU activations
 //! and pooling; Keras' default "valid" padding is used, so each convolution
 //! shrinks the spatial size by `kernel - 1`.
 //!
-//! The whole mini-batch is lowered to one `(patch × N·oh·ow)` column matrix
-//! and convolved with a single blocked GEMM per pass (`crate::kernels`);
-//! the backward pass computes per-sample weight-gradient partials on scoped
-//! worker threads and reduces them in fixed sample order, so results are
-//! bit-identical to the historical per-sample loops at any worker count.
+//! Each pass — forward, input gradient, weight gradient — is one call into
+//! the direct kernels of `crate::kernels`, which read the whole mini-batch's
+//! `[N, C, H, W]` tensors in place and fan out once over disjoint items.
+//! The weight gradient sums per-sample partials in fixed sample order, so
+//! results are bit-identical to the historical per-sample loops at any
+//! worker count.
 
 use crate::init::glorot_uniform;
-use crate::kernels::{
-    self, col2im_item, gemm, gemm_at, gemm_bt_strided, im2col_batch, ConvGeometry,
-};
+use crate::kernels::{self, ConvGeometry};
 use crate::layers::Layer;
 use crate::param::Parameter;
 use crate::tensor::Tensor;
@@ -30,8 +29,6 @@ pub struct Conv2d {
     /// Bias stored as `[out_channels]`.
     bias: Parameter,
     cached_input: Option<Tensor>,
-    /// Batched `(patch × N·oh·ow)` column matrix of the last forward pass.
-    cached_cols: Vec<f32>,
 }
 
 impl Conv2d {
@@ -54,13 +51,15 @@ impl Conv2d {
             weight,
             bias,
             cached_input: None,
-            cached_cols: Vec::new(),
         }
     }
 
     /// Output spatial size for an input spatial size (valid padding).
+    ///
+    /// # Panics
+    /// Panics when the kernel is larger than the input.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (h + 1 - self.kernel, w + 1 - self.kernel)
+        self.geometry(h, w).output_hw()
     }
 
     /// Number of trainable scalars.
@@ -72,117 +71,61 @@ impl Conv2d {
         ConvGeometry::valid(self.in_channels, h, w, self.kernel)
     }
 
-    /// The batched forward arithmetic shared by `forward` and `infer`:
-    /// lowers the whole batch to one column matrix, convolves it with a
-    /// single GEMM and scatters the result (plus bias) into `[N, C', oh,
-    /// ow]` layout.  Returns the output and the column matrix.
-    fn forward_batch(&self, input: &Tensor) -> (Tensor, Vec<f32>) {
+    /// The forward arithmetic shared by `forward` and `infer`.
+    fn forward_batch(&self, input: &Tensor) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
         assert_eq!(shape[1], self.in_channels, "Conv2d channel mismatch");
         let (n, h, w) = (shape[0], shape[2], shape[3]);
         let geometry = self.geometry(h, w);
         let (oh, ow) = geometry.output_hw();
-        let (ohow, patch) = (oh * ow, geometry.patch());
-        let n_cols = n * ohow;
-
-        let col = im2col_batch(input.data(), n, &geometry);
-        // One GEMM for the whole batch: (out_channels × patch) · (patch ×
-        // N·oh·ow).  Per output element this is the same ascending-patch
-        // accumulation the per-sample lowering produced.
-        let y = gemm(&self.weight.value, &col, self.out_channels, patch, n_cols);
-
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let item_len = self.out_channels * ohow;
-        let (bias, out_channels) = (&self.bias.value, self.out_channels);
-        // min_rows = 8: the scatter is memcpy-scale work, only worth a
-        // thread for large batches.
-        kernels::run_row_chunks(out.data_mut(), n, item_len, 8, |first, _rows, chunk| {
-            for (r, item) in chunk.chunks_mut(item_len).enumerate() {
-                let i = first + r;
-                for oc in 0..out_channels {
-                    let b = bias[oc];
-                    let src = &y[oc * n_cols + i * ohow..oc * n_cols + (i + 1) * ohow];
-                    for (d, &s) in item[oc * ohow..(oc + 1) * ohow].iter_mut().zip(src) {
-                        *d = s + b;
-                    }
-                }
-            }
-        });
-        (out, col)
+        let out = kernels::conv2d_forward(
+            input.data(),
+            n,
+            &geometry,
+            &self.weight.value,
+            &self.bias.value,
+            self.out_channels,
+        );
+        Tensor::from_vec(&[n, self.out_channels, oh, ow], out)
     }
 
     /// Accumulates the weight and bias gradients for the cached forward
     /// pass (shared by `backward` and `backward_head`).  Returns the
-    /// cached input's `(n, h, w)` and the lowering geometry.
-    ///
-    /// dW is computed as per-sample partials `gᵢ · colᵢᵀ` on
-    /// `std::thread::scope` worker threads, then reduced on the calling
-    /// thread in ascending sample order — exactly the accumulation
-    /// sequence of the historical per-sample loop, and independent of the
-    /// worker count.
-    fn accumulate_parameter_grads(
-        &mut self,
-        grad_output: &Tensor,
-    ) -> (usize, usize, usize, ConvGeometry) {
+    /// batch size and the geometry of the cached input.
+    fn accumulate_parameter_grads(&mut self, grad_output: &Tensor) -> (usize, ConvGeometry) {
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
         let shape = input.shape();
-        let (n, h, w) = (shape[0], shape[2], shape[3]);
-        let geometry = self.geometry(h, w);
+        let n = shape[0];
+        let geometry = self.geometry(shape[2], shape[3]);
         let (oh, ow) = geometry.output_hw();
-        let (ohow, patch) = (oh * ow, geometry.patch());
-        let n_cols = n * ohow;
-        let out_channels = self.out_channels;
-
-        let mut partials: Vec<Vec<f32>> = vec![Vec::new(); n];
-        let workers = kernels::hardware_workers().min(n.max(1));
-        let cols = &self.cached_cols;
-        let compute_partial = |i: usize| {
-            gemm_bt_strided(
-                grad_output.item(i),
-                cols,
-                i * ohow,
-                n_cols,
-                out_channels,
-                ohow,
-                patch,
-            )
-        };
-        if workers <= 1 {
-            for (i, slot) in partials.iter_mut().enumerate() {
-                *slot = compute_partial(i);
-            }
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (ci, slots) in partials.chunks_mut(chunk).enumerate() {
-                    let compute_partial = &compute_partial;
-                    scope.spawn(move || {
-                        for (r, slot) in slots.iter_mut().enumerate() {
-                            *slot = compute_partial(ci * chunk + r);
-                        }
-                    });
-                }
-            });
-        }
-        for dw in &partials {
-            for (acc, v) in self.weight.grad.iter_mut().zip(dw.iter()) {
-                *acc += v;
-            }
-        }
+        let ohow = oh * ow;
+        assert_eq!(
+            grad_output.shape(),
+            &[n, self.out_channels, oh, ow],
+            "Conv2d gradient shape mismatch"
+        );
+        kernels::conv2d_weight_grad(
+            input.data(),
+            grad_output.data(),
+            n,
+            &geometry,
+            self.out_channels,
+            &mut self.weight.grad,
+        );
 
         // db: per-sample row sums of g, in sample order.
         for i in 0..n {
             let g = grad_output.item(i);
-            for oc in 0..out_channels {
+            for oc in 0..self.out_channels {
                 let s = vvd_dsp::accum::sum_f32(g[oc * ohow..(oc + 1) * ohow].iter().copied());
                 self.bias.grad[oc] += s;
             }
         }
-        (n, h, w, geometry)
+        (n, geometry)
     }
 }
 
@@ -192,59 +135,28 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        let (out, col) = self.forward_batch(input);
-        self.cached_cols = col;
+        let out = self.forward_batch(input);
         self.cached_input = Some(input.clone());
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        self.forward_batch(input).0
+        self.forward_batch(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let (n, h, w, geometry) = self.accumulate_parameter_grads(grad_output);
-        let (oh, ow) = geometry.output_hw();
-        let (ohow, patch) = (oh * ow, geometry.patch());
-        let n_cols = n * ohow;
-        let out_channels = self.out_channels;
-
-        // dX: gather g into its batched (out_channels × N·oh·ow) layout,
-        // run one GEMM for the whole batch and scatter per sample.
-        // min_rows = 8: the gather is memcpy-scale work, not worth a
-        // thread per channel.
-        let mut g_big = vec![0.0f32; out_channels * n_cols];
-        kernels::run_row_chunks(
-            &mut g_big,
-            out_channels,
-            n_cols,
-            8,
-            |first, _rows, chunk| {
-                for (r, row) in chunk.chunks_mut(n_cols).enumerate() {
-                    let oc = first + r;
-                    for i in 0..n {
-                        row[i * ohow..(i + 1) * ohow]
-                            .copy_from_slice(&grad_output.item(i)[oc * ohow..(oc + 1) * ohow]);
-                    }
-                }
-            },
-        );
-        let dcol = gemm_at(&self.weight.value, &g_big, patch, out_channels, n_cols);
-        // col2im does real accumulation work; parallelise from 4 samples.
-        let mut grad_input = Tensor::zeros(&[n, self.in_channels, h, w]);
-        let in_item = self.in_channels * h * w;
-        kernels::run_row_chunks(
-            grad_input.data_mut(),
+        let (n, geometry) = self.accumulate_parameter_grads(grad_output);
+        let grad_input = kernels::conv2d_input_grad(
+            grad_output.data(),
             n,
-            in_item,
-            4,
-            |first, _rows, chunk| {
-                for (r, item) in chunk.chunks_mut(in_item).enumerate() {
-                    col2im_item(&dcol, n_cols, (first + r) * ohow, &geometry, item);
-                }
-            },
+            &geometry,
+            &self.weight.value,
+            self.out_channels,
         );
-        grad_input
+        Tensor::from_vec(
+            &[n, self.in_channels, geometry.height, geometry.width],
+            grad_input,
+        )
     }
 
     fn backward_head(&mut self, grad_output: &Tensor) {
@@ -280,6 +192,13 @@ mod tests {
         let x = Tensor::zeros(&[1, 1, 5, 7]);
         let y = conv.forward(&x, true);
         assert_eq!(y.shape(), &[1, 2, 3, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "convolution kernel 3x3 does not fit a 2x2 input")]
+    fn kernel_larger_than_input_panics_instead_of_wrapping() {
+        // Checked in release builds too: the subtraction never wraps.
+        let _ = layer(1, 1, 3).output_hw(2, 2);
     }
 
     #[test]

@@ -34,28 +34,69 @@ impl AvgPool2d {
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (oh, ow) = self.out_hw(h, w);
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let win2 = (self.window * self.window) as f32;
-        for i in 0..n {
-            let item = input.item(i);
-            let out_item = out.item_mut(i);
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for dy in 0..self.window {
-                            for dx in 0..self.window {
-                                acc += item[ch * h * w
-                                    + (oy * self.window + dy) * w
-                                    + ox * self.window
-                                    + dx];
-                            }
-                        }
-                        out_item[ch * oh * ow + oy * ow + ox] = acc / win2;
+        if !out.is_empty() {
+            // The Fig.-8 window gets a copy of the loops with its size fixed.
+            match self.window {
+                2 => avg_pool_rows(input.data(), out.data_mut(), h, w, 2),
+                win => avg_pool_rows(input.data(), out.data_mut(), h, w, win),
+            }
+        }
+        out
+    }
+}
+
+/// Row-wise average pooling of `[.., h, w]` planes into `out`: each output
+/// row reads its `win` input rows and sums every window in `(dy, dx)` order
+/// from `+0.0`, then divides by `win²` — the order of
+/// [`crate::kernels::reference::avg_pool2d`].  Inlined so a constant `win`
+/// unrolls the window loops.
+#[inline(always)]
+fn avg_pool_rows(input: &[f32], out: &mut [f32], h: usize, w: usize, win: usize) {
+    let (oh, ow) = (h / win, w / win);
+    let win2 = (win * win) as f32;
+    let planes = input.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
+    for (plane, out_plane) in planes {
+        let rows = plane
+            .chunks_exact(win * w)
+            .zip(out_plane.chunks_exact_mut(ow));
+        for (rows, out_row) in rows {
+            for (ox, out) in out_row.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for dy in 0..win {
+                    for dx in 0..win {
+                        acc += rows[dy * w + ox * win + dx];
+                    }
+                }
+                *out = acc / win2;
+            }
+        }
+    }
+}
+
+/// Row-wise gradient of [`avg_pool_rows`]: every cell of a window receives
+/// `0.0 + g / win²`, as [`crate::kernels::reference::avg_pool2d_backward`]
+/// adds it into a zeroed gradient; ragged edges keep their `+0.0`.
+#[inline(always)]
+fn avg_pool_rows_backward(grad: &[f32], grad_input: &mut [f32], h: usize, w: usize, win: usize) {
+    let (oh, ow) = (h / win, w / win);
+    let win2 = (win * win) as f32;
+    let planes = grad
+        .chunks_exact(oh * ow)
+        .zip(grad_input.chunks_exact_mut(h * w));
+    for (g_plane, plane) in planes {
+        let rows = g_plane
+            .chunks_exact(ow)
+            .zip(plane.chunks_exact_mut(win * w));
+        for (g_row, rows) in rows {
+            for row in rows.chunks_exact_mut(w) {
+                for (&g, cell) in g_row.iter().zip(row.chunks_exact_mut(win)) {
+                    let v = 0.0 + g / win2;
+                    for d in cell {
+                        *d = v;
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -77,26 +118,11 @@ impl Layer for AvgPool2d {
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let shape = &self.cached_shape;
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (oh, ow) = self.out_hw(h, w);
         let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-        let win2 = (self.window * self.window) as f32;
-        for i in 0..n {
-            let g = grad_output.item(i);
-            let gi = grad_input.item_mut(i);
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let v = g[ch * oh * ow + oy * ow + ox] / win2;
-                        for dy in 0..self.window {
-                            for dx in 0..self.window {
-                                gi[ch * h * w
-                                    + (oy * self.window + dy) * w
-                                    + ox * self.window
-                                    + dx] += v;
-                            }
-                        }
-                    }
-                }
+        if !grad_output.is_empty() {
+            match self.window {
+                2 => avg_pool_rows_backward(grad_output.data(), grad_input.data_mut(), h, w, 2),
+                win => avg_pool_rows_backward(grad_output.data(), grad_input.data_mut(), h, w, win),
             }
         }
         grad_input

@@ -12,11 +12,12 @@
 //!
 //! * a dense row-major [`tensor::Tensor`] with an `[N, C, H, W]` layout
 //!   convention for image batches,
-//! * cache-blocked GEMM and batched im2col lowering kernels that are
-//!   bit-identical to their naive references ([`kernels`]),
-//! * layers: 2-D convolution (batched im2col + GEMM), average / max
-//!   pooling, fully connected, ReLU, flatten, batch normalisation and
-//!   dropout ([`layers`]),
+//! * cache-blocked GEMM and direct convolution kernels (forward, input
+//!   gradient, weight gradient; no column matrix) that are bit-identical to
+//!   their naive references ([`kernels`]),
+//! * layers: 2-D convolution (direct kernels), average / max pooling, fully
+//!   connected, ReLU, flatten, batch normalisation and dropout
+//!   ([`layers`]),
 //! * mean-squared-error loss ([`loss`]),
 //! * SGD, Adam and Nadam optimizers (the paper uses Nadam, lr 1e-4, decay
 //!   0.004) ([`optim`]),

@@ -116,8 +116,10 @@ impl Trainer {
                 batches += 1;
             }
             let train_loss = epoch_loss / batches.max(1) as f32;
+            // `infer` is bit-identical to `forward(.., false)` and writes no
+            // backward caches for the validation batch.
             let val_loss = if val_x.batch_size() > 0 {
-                mse_value(&model.forward(val_x, false), val_y)
+                mse_value(&model.infer(val_x), val_y)
             } else {
                 train_loss
             };

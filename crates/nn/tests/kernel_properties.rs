@@ -1,7 +1,6 @@
 //! Property tests pinning the blocked kernels to the naive references —
 //! *bit-identical*, not approximately equal — across randomized shapes,
-//! strides and paddings, and pinning batched passes to their per-sample
-//! equivalents.
+//! and pinning batched passes to their per-sample equivalents.
 //!
 //! These are the proofs behind the kernel-refactor guarantee: blocking,
 //! batching and threading never change a single bit of any result, which
@@ -26,6 +25,23 @@ fn data(len: usize, seed: u64) -> Vec<f32> {
             _ => rng.gen_range(-2.0f32..2.0),
         })
         .collect()
+}
+
+/// The raw bits of `values`, so `-0.0` and `+0.0` compare unequal.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Convolution shapes `(n, out_channels, geometry)`: batch 1–5, input
+/// channels 1–5, output channels 1–9, kernel 1–4, output height 1–5 and
+/// output width 1–17.
+fn conv_shapes() -> impl Strategy<Value = (usize, usize, ConvGeometry)> {
+    let channels = (1usize..6, 1usize..6, 1usize..10);
+    let spatial = (1usize..5, 1usize..6, 1usize..18);
+    (channels, spatial).prop_map(|((n, in_channels, out_channels), (kernel, oh, ow))| {
+        let geometry = ConvGeometry::valid(in_channels, oh + kernel - 1, ow + kernel - 1, kernel);
+        (n, out_channels, geometry)
+    })
 }
 
 proptest! {
@@ -71,35 +87,120 @@ proptest! {
         );
     }
 
-    /// im2col + GEMM convolution (any stride, any padding) is bit-identical
-    /// to the direct convolution reference.
+    /// The direct forward kernel is bit-identical, item by item, to the
+    /// loop-nest reference.  Shapes reach every tile remainder: output
+    /// channels past one 4-block, output widths past two 8-lane tiles.
     #[test]
-    fn lowered_convolution_matches_direct_reference(
-        channels in (1usize..4, 1usize..5),
-        hw in (1usize..12, 1usize..12),
-        ksp in (1usize..5, 1usize..4, 0usize..3),
+    fn conv_forward_matches_direct_reference(
+        shape in conv_shapes(),
         seed in 0u64..1_000_000,
     ) {
-        let (in_channels, out_channels) = channels;
-        let (height, width) = hw;
-        let (kernel, stride, pad) = ksp;
-        prop_assume!(height + 2 * pad >= kernel && width + 2 * pad >= kernel);
-        let geometry = ConvGeometry { in_channels, height, width, kernel, stride, pad };
-        let (oh, ow) = geometry.output_hw();
-        let patch = geometry.patch();
-        let item = data(geometry.item_len(), seed);
-        let weight = data(out_channels * patch, seed.wrapping_add(4));
+        let (n, out_channels, geometry) = shape;
+        let input = data(n * geometry.item_len(), seed);
+        let weight = data(out_channels * geometry.patch(), seed.wrapping_add(4));
         let bias = data(out_channels, seed.wrapping_add(5));
 
-        let col = kernels::im2col(&item, &geometry);
-        let mut lowered = kernels::gemm(&weight, &col, out_channels, patch, oh * ow);
-        for oc in 0..out_channels {
-            for v in &mut lowered[oc * oh * ow..(oc + 1) * oh * ow] {
-                *v += bias[oc];
-            }
+        let batched = kernels::conv2d_forward(&input, n, &geometry, &weight, &bias, out_channels);
+        let mut per_item = Vec::new();
+        for item in input.chunks(geometry.item_len()) {
+            per_item.extend(reference::conv2d_direct(item, &weight, &bias, out_channels, &geometry));
         }
-        let direct = reference::conv2d_direct(&item, &weight, &bias, out_channels, &geometry);
-        prop_assert_eq!(lowered, direct);
+        prop_assert_eq!(bits(&batched), bits(&per_item));
+    }
+
+    /// A `Conv2d` layer lowered onto the direct forward kernel is
+    /// bit-identical, item by item, to the loop-nest reference run on the
+    /// layer's own weight and bias, through both `forward` and `infer`.
+    #[test]
+    fn lowered_convolution_matches_direct_reference(
+        shape in conv_shapes(),
+        seed in 0u64..1_000_000,
+    ) {
+        let (n, out_channels, geometry) = shape;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut conv = Conv2d::new(geometry.in_channels, out_channels, geometry.kernel, &mut rng);
+        let input = data(n * geometry.item_len(), seed.wrapping_add(10));
+        let x = Tensor::from_vec(&[n, geometry.in_channels, geometry.height, geometry.width], input.clone());
+
+        let inferred = conv.infer(&x);
+        let layer = conv.forward(&x, true);
+        let params = conv.parameters();
+        let (weight, bias) = (&params[0].value, &params[1].value);
+        let mut per_item = Vec::new();
+        for item in input.chunks(geometry.item_len()) {
+            per_item.extend(reference::conv2d_direct(item, weight, bias, out_channels, &geometry));
+        }
+        let (oh, ow) = geometry.output_hw();
+        prop_assert_eq!(layer.shape(), &[n, out_channels, oh, ow]);
+        prop_assert_eq!(bits(layer.data()), bits(&per_item));
+        prop_assert_eq!(bits(inferred.data()), bits(&per_item));
+    }
+
+    /// The direct input-gradient kernel is bit-identical, item by item, to
+    /// the loop-nest reference.
+    #[test]
+    fn conv_input_grad_matches_reference(
+        shape in conv_shapes(),
+        seed in 0u64..1_000_000,
+    ) {
+        let (n, out_channels, geometry) = shape;
+        let (oh, ow) = geometry.output_hw();
+        let g_len = out_channels * oh * ow;
+        let grad_output = data(n * g_len, seed);
+        let weight = data(out_channels * geometry.patch(), seed.wrapping_add(6));
+
+        let batched = kernels::conv2d_input_grad(&grad_output, n, &geometry, &weight, out_channels);
+        let mut per_item = Vec::new();
+        for g in grad_output.chunks(g_len) {
+            per_item.extend(reference::conv2d_input_grad(g, &weight, out_channels, &geometry));
+        }
+        prop_assert_eq!(bits(&batched), bits(&per_item));
+    }
+
+    /// The direct weight-gradient kernel accumulates exactly the
+    /// reference's per-sample partials, in sample order, on top of an
+    /// existing gradient.
+    #[test]
+    fn conv_weight_grad_matches_reference(
+        shape in conv_shapes(),
+        seed in 0u64..1_000_000,
+    ) {
+        let (n, out_channels, geometry) = shape;
+        let (oh, ow) = geometry.output_hw();
+        let input = data(n * geometry.item_len(), seed);
+        let grad_output = data(n * out_channels * oh * ow, seed.wrapping_add(7));
+        let prior = data(out_channels * geometry.patch(), seed.wrapping_add(8));
+
+        let mut kernel_grad = prior.clone();
+        kernels::conv2d_weight_grad(&input, &grad_output, n, &geometry, out_channels, &mut kernel_grad);
+        let mut reference_grad = prior;
+        reference::conv2d_weight_grad(&input, &grad_output, n, out_channels, &geometry, &mut reference_grad);
+        prop_assert_eq!(bits(&kernel_grad), bits(&reference_grad));
+    }
+
+    /// `AvgPool2d`'s row-wise forward and backward passes are bit-identical
+    /// to the nested-loop references, ragged edges included.
+    #[test]
+    fn avg_pool_matches_reference(
+        dims in (1usize..6, 1usize..6, 1usize..18, 1usize..18),
+        window in 1usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let (n, channels, h, w) = dims;
+        let input = data(n * channels * h * w, seed);
+        let mut pool = AvgPool2d::new(window);
+        let out = pool.forward(&Tensor::from_vec(&[n, channels, h, w], input.clone()), true);
+        prop_assert_eq!(
+            bits(out.data()),
+            bits(&reference::avg_pool2d(&input, n, channels, h, w, window))
+        );
+
+        let grad_output = data(out.len(), seed.wrapping_add(9));
+        let grad_input = pool.backward(&Tensor::from_vec(out.shape(), grad_output.clone()));
+        prop_assert_eq!(
+            bits(grad_input.data()),
+            bits(&reference::avg_pool2d_backward(&grad_output, n, channels, h, w, window))
+        );
     }
 
     /// One batched forward pass through the full layer stack equals the
