@@ -70,5 +70,5 @@ pub use metrics::{chip_error_rate, mean_squared_error, packet_error_rate};
 pub use phase::align_mean_phase;
 pub use registry::{EstimatorRegistry, SpecError};
 pub use state::{EstimatorState, KalmanTapState, StateError};
-pub use techniques::Technique;
+pub use techniques::{spec_label, Technique};
 pub use zf::ZfEqualizer;

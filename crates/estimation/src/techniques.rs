@@ -230,6 +230,14 @@ impl std::str::FromStr for Technique {
     }
 }
 
+/// The label an estimator spec's results are reported under, offline and
+/// served alike: a canonical technique's paper label, and the trimmed spec
+/// string for any other spec.
+pub fn spec_label(spec: &str) -> String {
+    spec.parse::<Technique>()
+        .map_or_else(|_| spec.trim().to_string(), |t| t.label().to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +320,11 @@ mod tests {
         assert!("kalman:ar=7".parse::<Technique>().is_err());
         assert!("previous:1000ms".parse::<Technique>().is_err());
         assert!("gibberish".parse::<Technique>().is_err());
+        // Results are labeled by paper label when canonical, else by the
+        // trimmed spec.
+        assert_eq!(spec_label("kalman:ar=20"), "Kalman AR(20)");
+        assert_eq!(spec_label("  ground-truth \t"), "Ground Truth");
+        assert_eq!(spec_label(" kalman:ar=7  "), "kalman:ar=7");
     }
 
     #[test]

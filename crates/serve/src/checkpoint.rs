@@ -84,7 +84,8 @@ pub enum CheckpointError {
         session: usize,
     },
     /// A checkpointed session does not match the session the resumed
-    /// workload built at the same position.
+    /// workload built at the same position, or its trace or next-due tick
+    /// disagrees with its cursor.
     SessionMismatch {
         /// Id of the offending session.
         session: usize,

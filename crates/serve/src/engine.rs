@@ -184,7 +184,8 @@ impl ServeEngine {
     ///
     /// # Errors
     /// [`CheckpointError::SessionCount`] / `SessionMismatch` / `State`
-    /// when the checkpoint does not belong to this workload.
+    /// when the checkpoint does not belong to this workload or disagrees
+    /// with itself.
     pub fn resume(
         workload: Workload,
         options: &ServeOptions,
@@ -320,7 +321,7 @@ impl ServeEngine {
             self.cache.stats(),
             wall,
         )
-        .expect("engine sessions are unique and id-ordered by construction");
+        .expect("engine sessions are unique, id-ordered and stepped by construction");
         report.phases = self.phases;
         report.synth = self.memo.counters();
         report
@@ -509,6 +510,51 @@ mod tests {
             ),
             Err(CheckpointError::SessionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_that_disagrees_with_itself() {
+        use crate::checkpoint::{CheckpointError, EngineCheckpoint, SessionCheckpoint};
+
+        let cfg = tiny_config();
+        let gen = LoadGenerator::new(cfg);
+        let options = ServeOptions { shards: 1 };
+        let reference = serve(gen.build(&cheap_specs()).unwrap(), &options);
+        let mut engine = ServeEngine::new(gen.build(&cheap_specs()).unwrap(), &options);
+        assert_eq!(engine.run_ticks(8), 8);
+        let checkpoint = engine.checkpoint().unwrap();
+        // Session 0 (ground truth, every tick) has scored and estimated.
+        assert!(!checkpoint.sessions[0].trace.estimates.is_empty());
+
+        let resume = |edit: fn(&mut SessionCheckpoint)| {
+            let mut edited = checkpoint.clone();
+            edit(&mut edited.sessions[0]);
+            let frame = edited.to_frame().unwrap();
+            let decoded = EngineCheckpoint::from_frame(&frame).unwrap();
+            ServeEngine::resume(gen.build(&cheap_specs()).unwrap(), &options, &decoded)
+        };
+        let edits: [fn(&mut SessionCheckpoint); 4] = [
+            |s| s.cursor += 1,
+            |s| {
+                s.trace.per_packet.pop();
+            },
+            |s| s.next_due += 3,
+            |s| {
+                s.trace.estimates.pop();
+            },
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            assert!(
+                matches!(
+                    resume(edit),
+                    Err(CheckpointError::SessionMismatch { session: 0, .. })
+                ),
+                "edit {i}"
+            );
+        }
+        let mut unedited = resume(|_| ()).unwrap();
+        while unedited.step_tick() {}
+        assert_eq!(unedited.finish().digest(), reference.digest());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use vvd_channel::scenario::SpecParseError;
 use vvd_estimation::estimator::{TrainingContext, VvdModelPool};
 use vvd_estimation::registry::SpecError;
-use vvd_estimation::{EstimatorRegistry, ModelCache, Technique};
+use vvd_estimation::{spec_label, EstimatorRegistry, ModelCache};
 use vvd_testbed::stream::training_cirs;
 use vvd_testbed::stream::CombinationDatasets;
 use vvd_testbed::{combinations_for, Campaign, EvalConfig};
@@ -215,18 +215,10 @@ impl LoadGenerator {
             let mut estimator = registry.build(&spec.estimator)?;
             estimator.fit(&TrainingContext::new(&cirs).with_vvd(&pool));
 
-            // Canonical techniques are labeled like the offline harness
-            // labels them; anything else is keyed by its spec string.
-            let label = spec
-                .estimator
-                .parse::<Technique>()
-                .map(|t| t.label().to_string())
-                .unwrap_or_else(|_| spec.estimator.trim().to_string());
-
             sessions.push(LinkSession::new(
                 id,
                 spec.scenario.clone(),
-                label,
+                spec_label(&spec.estimator),
                 campaign,
                 campaign_slot,
                 combination,

@@ -1,8 +1,8 @@
 //! The synthesis memo: each distinct packet is synthesized once per engine.
 //!
-//! A packet's estimator-independent DSP products — the regenerated
-//! transmitted frame, the received waveform and the preamble LS fit — are
-//! a pure function of the `Arc`-shared immutable campaign and the packet's
+//! A packet's estimator-independent DSP products ([`PacketProducts`]: the
+//! transmitted frame, the received waveform and the preamble LS fit) are a
+//! pure function of the `Arc`-shared immutable campaign and the packet's
 //! `(test set, record index)`.  Sessions that stream the same test set
 //! (every session of a scenario on the same combination) therefore need
 //! the very same bytes, usually at different ticks.  The memo keys each
@@ -28,18 +28,18 @@
 //! identical bits.
 //!
 //! **The memo cannot change a result.**  Every product is the output of
-//! the one synthesis routine on the same immutable inputs, whether it was
-//! retained, re-synthesized or synthesized by another shard.  The memo is
-//! never checkpointed: a resumed engine starts with an empty memo and
-//! simply synthesizes what it needs.
+//! [`PacketProducts::synthesize`], the offline streaming core's routine too,
+//! on the same immutable inputs, whether it was retained, re-synthesized or
+//! synthesized by another shard.  The memo is never checkpointed: a
+//! resumed engine starts with an empty memo and simply synthesizes what it
+//! needs.
 
 use crate::session::LinkSession;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use vvd_dsp::{CVec, Complex, FirFilter};
-use vvd_estimation::ls::preamble_estimate;
-use vvd_phy::ModulatedFrame;
+use vvd_dsp::{Complex, FirFilter};
 use vvd_testbed::campaign::par_map;
+use vvd_testbed::stream::PacketProducts;
 use vvd_testbed::Campaign;
 
 /// Identifies one synthesized packet within an engine: `(campaign slot,
@@ -77,50 +77,20 @@ impl SynthCounters {
     }
 }
 
-/// The estimator-independent DSP products of one packet: its regenerated
-/// transmitted frame, received waveform and preamble LS fit.
-pub(crate) struct SynthesizedPacket {
-    /// The regenerated transmitted frame.
-    pub tx: ModulatedFrame,
-    /// The regenerated received waveform.
-    pub received: CVec,
-    /// The preamble LS channel fit (when the solve succeeded).
-    pub preamble_est: Option<FirFilter>,
-}
-
-/// Regenerates a packet's products from campaign data — the single
-/// synthesis routine of the serve engine.
-pub(crate) fn synthesize_packet(
-    campaign: &Campaign,
-    set: usize,
-    record_index: usize,
-) -> SynthesizedPacket {
-    let (tx, received) = campaign.received_waveform(set, record_index);
-    let taps = campaign.config.equalizer.channel_taps;
-    let preamble_est = preamble_estimate(&tx, received.as_slice(), taps).ok();
-    SynthesizedPacket {
-        tx,
-        received,
-        preamble_est,
-    }
-}
-
-impl SynthesizedPacket {
-    /// The bytes the product occupies: its buffers plus the struct itself.
-    fn bytes(&self) -> usize {
-        let complex = std::mem::size_of::<Complex>();
-        std::mem::size_of::<Self>()
-            + self.tx.frame.psdu.len()
-            + self.tx.chips.len() * std::mem::size_of::<f64>()
-            + self.tx.waveform.len() * complex
-            + self.received.len() * complex
-            + self.preamble_est.as_ref().map_or(0, |f| f.len() * complex)
-    }
+/// The bytes a product occupies: its buffers plus the struct itself.
+fn product_bytes(product: &PacketProducts) -> usize {
+    let complex = std::mem::size_of::<Complex>();
+    std::mem::size_of::<PacketProducts>()
+        + product.tx.frame.psdu.len()
+        + product.tx.chips.len() * std::mem::size_of::<f64>()
+        + product.tx.waveform.len() * complex
+        + product.received.len() * complex
+        + product.preamble_est.as_ref().map_or(0, FirFilter::len) * complex
 }
 
 /// A product the memo keeps across ticks, with its accounted size.
 struct Retained {
-    product: Arc<SynthesizedPacket>,
+    product: Arc<PacketProducts>,
     bytes: usize,
 }
 
@@ -135,7 +105,7 @@ pub(crate) struct SynthMemo {
     /// Products kept for later consumers.
     retained: BTreeMap<SynthKey, Retained>,
     /// Products over budget, kept for the current tick only.
-    transient: BTreeMap<SynthKey, Arc<SynthesizedPacket>>,
+    transient: BTreeMap<SynthKey, Arc<PacketProducts>>,
     /// Bytes of `retained`.
     resident_bytes: usize,
     counters: SynthCounters,
@@ -200,10 +170,10 @@ impl SynthMemo {
         self.counters.syntheses += missing.len() as u64;
 
         let products = par_map(&missing, shards, |_, &(slot, set, record)| {
-            synthesize_packet(&self.campaigns[slot], set, record)
+            PacketProducts::synthesize(&self.campaigns[slot], set, record)
         });
         for (key, product) in missing.iter().zip(products) {
-            let bytes = product.bytes();
+            let bytes = product_bytes(&product);
             let product = Arc::new(product);
             if self.resident_bytes + bytes <= self.budget {
                 self.resident_bytes += bytes;
@@ -224,7 +194,7 @@ impl SynthMemo {
     ///
     /// # Panics
     /// Panics when the key was not filled this tick.
-    pub(crate) fn get(&self, key: SynthKey) -> Arc<SynthesizedPacket> {
+    pub(crate) fn get(&self, key: SynthKey) -> Arc<PacketProducts> {
         let product = match self.retained.get(&key) {
             Some(retained) => &retained.product,
             None => self

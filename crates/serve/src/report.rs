@@ -6,9 +6,9 @@ use crate::planner::BatchCounters;
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
-use vvd_estimation::metrics::{chip_error_rate, mean_squared_error, packet_error_rate};
 use vvd_estimation::ModelCacheStats;
 use vvd_testbed::stream::EstimatorTrace;
+use vvd_testbed::TechniqueMetrics;
 
 /// Quality summary of one served session.
 #[derive(Debug, Clone)]
@@ -132,6 +132,14 @@ pub enum ReportAssemblyError {
         /// Sessions supplied.
         found: usize,
     },
+    /// A session's trace has estimates and truths that do not pair up, so
+    /// its MSE is undefined.
+    InconsistentTrace {
+        /// The session's id.
+        id: usize,
+        /// What disagreed.
+        context: String,
+    },
 }
 
 impl fmt::Display for ReportAssemblyError {
@@ -151,6 +159,9 @@ impl fmt::Display for ReportAssemblyError {
             }
             ReportAssemblyError::CountMismatch { expected, found } => {
                 write!(f, "expected {expected} session reports, got {found}")
+            }
+            ReportAssemblyError::InconsistentTrace { id, context } => {
+                write!(f, "session {id} has an inconsistent trace: {context}")
             }
         }
     }
@@ -174,8 +185,8 @@ impl ServeReport {
     /// the result must cover a whole workload.
     ///
     /// # Errors
-    /// [`ReportAssemblyError`] on mismatched lengths, duplicate ids or
-    /// misordered ids.
+    /// [`ReportAssemblyError`] on mismatched lengths, duplicate ids,
+    /// misordered ids or a trace whose estimates and truths do not pair up.
     pub fn assemble(
         meta: Vec<(usize, String, String, usize)>,
         traces: Vec<EstimatorTrace>,
@@ -191,7 +202,7 @@ impl ServeReport {
             });
         }
         let mut prev: Option<usize> = None;
-        for (id, _, _, _) in &meta {
+        for ((id, _, _, _), trace) in meta.iter().zip(&traces) {
             match prev {
                 Some(p) if *id == p => {
                     return Err(ReportAssemblyError::DuplicateSession { id: *id })
@@ -201,26 +212,27 @@ impl ServeReport {
                 }
                 _ => prev = Some(*id),
             }
+            trace
+                .check_estimates()
+                .map_err(|context| ReportAssemblyError::InconsistentTrace { id: *id, context })?;
         }
         let sessions: Vec<SessionReport> = meta
             .into_iter()
             .zip(&traces)
-            .map(
-                |((session_id, scenario, estimator, packets_streamed), trace)| SessionReport {
+            .map(|(meta, trace)| {
+                let (session_id, scenario, estimator, packets_streamed) = meta;
+                let metrics = TechniqueMetrics::from_trace(trace);
+                SessionReport {
                     session_id,
                     scenario,
                     estimator,
                     packets_streamed,
-                    packets_scored: trace.scored.len(),
-                    per: packet_error_rate(&trace.scored),
-                    cer: chip_error_rate(&trace.scored),
-                    mse: if trace.estimates.is_empty() {
-                        None
-                    } else {
-                        Some(mean_squared_error(&trace.estimates, &trace.truths))
-                    },
-                },
-            )
+                    packets_scored: metrics.packets,
+                    per: metrics.per,
+                    cer: metrics.cer,
+                    mse: metrics.mse,
+                }
+            })
             .collect();
         let packets_streamed = sessions.iter().map(|s| s.packets_streamed as u64).sum();
         let packets_served = sessions.iter().map(|s| s.packets_scored as u64).sum();
@@ -410,16 +422,6 @@ impl Fnv {
 mod tests {
     use super::*;
 
-    fn trace(label: &str) -> EstimatorTrace {
-        EstimatorTrace {
-            label: label.into(),
-            scored: Vec::new(),
-            estimates: Vec::new(),
-            truths: Vec::new(),
-            per_packet: Vec::new(),
-        }
-    }
-
     type Meta = Vec<(usize, String, String, usize)>;
 
     fn meta_for(ids: &[usize]) -> (Meta, Vec<EstimatorTrace>) {
@@ -427,7 +429,10 @@ mod tests {
             .iter()
             .map(|&id| (id, "paper".to_string(), format!("est-{id}"), 5))
             .collect();
-        let traces = ids.iter().map(|&id| trace(&format!("est-{id}"))).collect();
+        let traces = ids
+            .iter()
+            .map(|&id| EstimatorTrace::new(format!("est-{id}")))
+            .collect();
         (meta, traces)
     }
 
@@ -496,6 +501,23 @@ mod tests {
             .unwrap_err(),
             ReportAssemblyError::LengthMismatch { meta: 2, traces: 1 }
         );
+        // A trace whose estimates and truths do not pair up — what a
+        // corrupt worker report would otherwise panic the MSE with.
+        let (meta, mut traces) = meta_for(&[0, 3]);
+        traces[1]
+            .estimates
+            .push(vvd_dsp::FirFilter::from_taps(&[vvd_dsp::Complex::ONE; 4]));
+        assert!(matches!(
+            ServeReport::assemble(
+                meta,
+                traces,
+                10,
+                BatchCounters::default(),
+                ModelCacheStats::default(),
+                Duration::ZERO,
+            ),
+            Err(ReportAssemblyError::InconsistentTrace { id: 3, .. })
+        ));
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! One [`LinkSession`] is one tracked radio link — a fitted
 //! [`ChannelEstimator`](vvd_estimation::ChannelEstimator) streaming the
-//! packets of its campaign's test set in transmission order, exactly like
-//! the offline pipeline in `vvd_testbed::stream` does, but split into the
-//! two halves the engine interleaves across sessions:
+//! packets of its campaign's test set in transmission order through the
+//! offline streaming core's per-packet step
+//! ([`step_packet`]), split into the two halves the engine
+//! interleaves across sessions:
 //!
-//! 1. `LinkSession::prepare` — take the due packet's received waveform
-//!    and preamble LS estimate from the engine's synthesis memo, and ask
-//!    the estimator for its [`VvdInferencePlan`] (the NN forward pass it
-//!    would run inline);
-//! 2. `LinkSession::complete` — decode the packet with
-//!    `estimate_with_vvd` (consuming the batch-computed prediction, when
-//!    one was planned), score it, and feed the estimator its observation.
+//! 1. `LinkSession::prepare` — take the due packet's products from the
+//!    engine's synthesis memo, and ask the estimator for its
+//!    [`VvdInferencePlan`] (the NN forward pass it would run inline);
+//! 2. `LinkSession::complete` — run [`step_packet`] with the
+//!    batch-computed prediction, when one was planned.
 //!
 //! Between the two halves the engine's planner coalesces all sessions'
 //! plans into per-model `predict_batch` calls.  Because batched prediction
@@ -23,19 +22,13 @@
 //! or how many shards the store ran on.
 
 use crate::checkpoint::{CheckpointError, SessionCheckpoint};
-use crate::memo::{SynthKey, SynthesizedPacket};
+use crate::memo::SynthKey;
 use std::sync::Arc;
 use vvd_core::VvdModel;
 use vvd_dsp::FirFilter;
-use vvd_estimation::decode::decode_with_reference;
-use vvd_estimation::estimator::{
-    BoxedEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation, VvdInferencePlan,
-};
-use vvd_estimation::phase::align_mean_phase;
-use vvd_estimation::EqualizerConfig;
-use vvd_phy::{DecodeOutcome, Receiver};
-use vvd_testbed::stream::EstimatorTrace;
-use vvd_testbed::{Campaign, FrameRecord, SetCombination};
+use vvd_estimation::estimator::{BoxedEstimator, VvdInferencePlan};
+use vvd_testbed::stream::{step_packet, EstimatorTrace, PacketProducts, StreamPacket};
+use vvd_testbed::{Campaign, SetCombination};
 use vvd_vision::DepthImage;
 
 /// Declarative description of one link session of a workload.
@@ -88,29 +81,14 @@ impl SessionSpec {
     }
 }
 
-/// [`FrameSource`] over a measurement set's frame records (the serving
-/// counterpart of the private adapter in `vvd_testbed::stream`).
-struct SetFrames<'a>(&'a [FrameRecord]);
-
-impl FrameSource for SetFrames<'_> {
-    fn frame(&self, index: usize) -> &DepthImage {
-        &self.0[index].image
-    }
-    fn n_frames(&self) -> usize {
-        self.0.len()
-    }
-}
-
 /// Everything [`LinkSession::prepare`] computed for the due packet, handed
 /// through the planner to [`LinkSession::complete`].
 struct PendingPacket {
-    packet_index: usize,
-    score: bool,
     /// The packet's synthesized products, shared with every other session
     /// of the same test set — present iff the packet is scored or the
     /// estimator wants preamble observations (mirroring the regeneration
     /// policy of the offline streaming core).
-    regen: Option<Arc<SynthesizedPacket>>,
+    regen: Option<Arc<PacketProducts>>,
     /// The NN forward pass the estimator would run inline, if any.
     plan: Option<VvdInferencePlan>,
     /// The batch-computed output of `plan`, injected by the planner.
@@ -131,6 +109,7 @@ pub struct LinkSession {
     wants_preamble: bool,
     score_from: usize,
     interval: u64,
+    offset: u64,
     next_due: u64,
     cursor: usize,
     pending: Option<PendingPacket>,
@@ -168,16 +147,11 @@ impl LinkSession {
             wants_preamble,
             score_from,
             interval: interval.max(1),
+            offset,
             next_due: offset,
             cursor: 0,
             pending: None,
-            trace: EstimatorTrace {
-                label,
-                scored: Vec::new(),
-                estimates: Vec::new(),
-                truths: Vec::new(),
-                per_packet: Vec::new(),
-            },
+            trace: EstimatorTrace::new(label),
         }
     }
 
@@ -293,7 +267,8 @@ impl LinkSession {
     /// (Kalman AR coefficients, VVD weights) were already re-derived by
     /// the load generator — deterministically, or rehydrated through the
     /// model cache — before this runs.  The identity fields pin that the
-    /// rebuilt session really is the checkpointed one.
+    /// rebuilt session really is the checkpointed one, and the trace and
+    /// the next-due tick must be the ones streaming reaches at the cursor.
     pub(crate) fn restore(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
         let mismatch = |context: String| CheckpointError::SessionMismatch {
             session: ckpt.id,
@@ -327,6 +302,19 @@ impl LinkSession {
                 self.total_packets()
             )));
         }
+        ckpt.trace
+            .check_shape(ckpt.cursor, self.score_from)
+            .map_err(|e| mismatch(format!("trace at cursor {}: {e}", ckpt.cursor)))?;
+        let due = u64::try_from(ckpt.cursor)
+            .ok()
+            .and_then(|cursor| cursor.checked_mul(self.interval))
+            .and_then(|ticks| ticks.checked_add(self.offset));
+        if due != Some(ckpt.next_due) {
+            return Err(mismatch(format!(
+                "next due tick {} at cursor {} (interval {}, offset {})",
+                ckpt.next_due, ckpt.cursor, self.interval, self.offset
+            )));
+        }
         self.estimator
             .load_state(&ckpt.estimator)
             .map_err(|error| CheckpointError::State {
@@ -348,44 +336,31 @@ impl LinkSession {
     /// sessions), when a pending packet was never completed, or when
     /// `regen` is missing for a packet that needs products (or given for
     /// one that does not).
-    pub(crate) fn prepare(&mut self, tick: u64, regen: Option<Arc<SynthesizedPacket>>) {
+    pub(crate) fn prepare(&mut self, tick: u64, regen: Option<Arc<PacketProducts>>) {
         assert!(self.due(tick), "prepare() without a due packet");
         assert!(
             self.pending.is_none(),
             "prepare() with an unconsumed pending packet"
         );
-        let k = self.cursor;
         assert_eq!(
             regen.is_some(),
-            self.needs_regen(k),
+            self.needs_regen(self.cursor),
             "prepare() takes products exactly for regenerated packets"
         );
-        let score = k >= self.score_from;
-        let test_set = self.campaign.set(self.combination.test);
-        let record = &test_set.packets[k];
-
-        // The inference plan is only collected for packets the engine will
-        // actually decode — unscored (warm-up) packets never call
-        // `estimate` in the offline pipeline either.
-        let plan = if score {
-            let product = regen.as_ref().expect("scored packets are regenerated");
-            let frames = SetFrames(&test_set.frames);
-            let request = EstimateRequest {
-                packet_index: k,
-                perfect_cir: &record.perfect_cir,
-                preamble_estimate: product.preamble_est.as_ref(),
-                preamble_detected: record.preamble_detected,
-                frame_index: record.frame_index,
-                frames: &frames,
-            };
-            self.estimator.vvd_plan(&request)
-        } else {
-            None
+        let packet = StreamPacket {
+            campaign: &self.campaign,
+            set: self.combination.test,
+            index: self.cursor,
+            score: self.cursor >= self.score_from,
+            products: regen.as_deref(),
         };
-
+        // The inference plan is only collected for packets the engine will
+        // actually decode — the step never estimates warm-up packets.
+        let plan = packet
+            .score
+            .then(|| self.estimator.vvd_plan(&packet.request()))
+            .flatten();
         self.pending = Some(PendingPacket {
-            packet_index: k,
-            score,
             regen,
             plan,
             prediction: None,
@@ -418,14 +393,8 @@ impl LinkSession {
         pending.prediction = Some(prediction);
     }
 
-    /// Phase 2 of serving the due packet: decode (consuming the injected
-    /// prediction when one was planned), score, observe, advance.
-    ///
-    /// The per-packet arithmetic is copied from the offline streaming core
-    /// (`vvd_testbed::stream`), which is what makes serve traces
-    /// bit-comparable to [`stream_estimators`] ones.
-    ///
-    /// [`stream_estimators`]: vvd_testbed::stream::stream_estimators
+    /// Phase 2 of serving the due packet: [`step_packet`] with the
+    /// injected prediction, then advance.
     ///
     /// # Panics
     /// Panics when [`prepare`](Self::prepare) has not run for this packet.
@@ -434,87 +403,19 @@ impl LinkSession {
             .pending
             .take()
             .expect("complete() without a prepared packet");
-        let k = pending.packet_index;
-        let cfg = &self.campaign.config;
-        let eq = cfg.equalizer;
-        let test_set = self.campaign.set(self.combination.test);
-        let record = &test_set.packets[k];
-        let frames = SetFrames(&test_set.frames);
-
-        if pending.score {
-            let receiver = Receiver::new(cfg.phy);
-            let product = pending
-                .regen
-                .as_deref()
-                .expect("scored packets are regenerated");
-            let (tx, received, preamble_est) =
-                (&product.tx, &product.received, &product.preamble_est);
-            let request = EstimateRequest {
-                packet_index: k,
-                perfect_cir: &record.perfect_cir,
-                preamble_estimate: preamble_est.as_ref(),
-                preamble_detected: record.preamble_detected,
-                frame_index: record.frame_index,
-                frames: &frames,
-            };
-            match self
-                .estimator
-                .estimate_with_vvd(&request, pending.prediction.as_ref())
-            {
-                Estimate::Bypass => {
-                    let offset = receiver.synchronize(received.as_slice(), tx).offset;
-                    let outcome = receiver.decode_standard(&received.as_slice()[offset..], tx);
-                    self.trace.scored.push(outcome);
-                    self.trace.per_packet.push(outcome);
-                }
-                Estimate::Ready { cir, align_phase } => {
-                    let config = EqualizerConfig {
-                        align_phase: align_phase && eq.align_phase,
-                        ..eq
-                    };
-                    let outcome = decode_with_reference(
-                        &receiver,
-                        tx,
-                        received.as_slice(),
-                        &cir,
-                        preamble_est.as_ref(),
-                        &config,
-                    );
-                    self.trace.scored.push(outcome);
-                    self.trace.per_packet.push(outcome);
-                    let aligned = match (config.align_phase, preamble_est.as_ref()) {
-                        (true, Some(reference)) => align_mean_phase(&cir, reference).0,
-                        _ => cir.clone(),
-                    };
-                    self.trace.estimates.push(aligned);
-                    self.trace.truths.push(record.perfect_cir.clone());
-                }
-                Estimate::Lost => {
-                    let outcome =
-                        DecodeOutcome::lost(tx.psdu_chips().len(), tx.frame.psdu_symbols().len());
-                    self.trace.scored.push(outcome);
-                    self.trace.per_packet.push(outcome);
-                }
-                Estimate::Skip => {
-                    self.trace.per_packet.push(DecodeOutcome::lost(0, 0));
-                }
-            }
-        }
-
-        let observation = PacketObservation {
-            perfect_cir: &record.perfect_cir,
-            aligned_cir: &record.aligned_cir,
-            preamble_estimate: if self.wants_preamble {
-                pending
-                    .regen
-                    .as_ref()
-                    .and_then(|product| product.preamble_est.as_ref())
-            } else {
-                None
-            },
+        let packet = StreamPacket {
+            campaign: &self.campaign,
+            set: self.combination.test,
+            index: self.cursor,
+            score: self.cursor >= self.score_from,
+            products: pending.regen.as_deref(),
         };
-        self.estimator.observe(&observation);
-
+        step_packet(
+            self.estimator.as_mut(),
+            &mut self.trace,
+            &packet,
+            pending.prediction.as_ref(),
+        );
         self.cursor += 1;
         self.next_due += self.interval;
     }

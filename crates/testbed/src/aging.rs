@@ -16,13 +16,12 @@
 
 use crate::campaign::Campaign;
 use crate::combinations::SetCombination;
-use crate::evaluate::EvalOptions;
+use crate::evaluate::{EvalOptions, TechniqueMetrics};
 use crate::stream::{
     stream_estimators, training_cirs, CombinationDatasets, LabeledEstimator, StreamOptions,
 };
 use vvd_core::VvdVariant;
 use vvd_estimation::estimator::{AgedPreamble, BoxedEstimator, Inactive, Vvd, VvdModelPool};
-use vvd_estimation::metrics::{mean_squared_error, packet_error_rate};
 use vvd_estimation::{ModelCache, Technique};
 
 /// The ages swept in Figs. 16–17, in seconds (0 = "Original").
@@ -35,7 +34,8 @@ pub struct AgingCurve {
     pub technique: Technique,
     /// Ages in seconds (first entry 0 = original).
     pub ages_s: Vec<f64>,
-    /// MSE against the current perfect estimate, per age (Fig. 16).
+    /// MSE against the current perfect estimate, per age (Fig. 16; 0 for
+    /// an age that produced no estimate).
     pub mse: Vec<f64>,
     /// Packet error rate when decoding with the aged estimate (Fig. 17).
     pub per: Vec<f64>,
@@ -141,13 +141,9 @@ pub fn aging_sweep_cached(
             },
         );
         for (curve, trace) in curves.iter_mut().zip(&traces) {
-            let mse = if trace.estimates.is_empty() {
-                0.0
-            } else {
-                mean_squared_error(&trace.estimates, &trace.truths)
-            };
-            curve.mse.push(mse);
-            curve.per.push(packet_error_rate(&trace.scored));
+            let metrics = TechniqueMetrics::from_trace(trace);
+            curve.mse.push(metrics.mse.unwrap_or(0.0));
+            curve.per.push(metrics.per);
         }
     }
     curves

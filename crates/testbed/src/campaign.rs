@@ -375,7 +375,8 @@ impl Campaign {
 /// Maps `f` over `items` on up to `workers` scoped threads, preserving
 /// input order.  `f` must be pure per item — with that, the output is
 /// identical at every worker count.  Campaign generation and the serve
-/// engine's synthesis memo both fan waveform synthesis out through it.
+/// engine's synthesis memo fan waveform synthesis out through it, the
+/// evaluation its combinations and the scenario sweep its scenarios.
 pub fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -404,7 +405,7 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("campaign synthesis worker panicked"))
+            .flat_map(|h| h.join().expect("par_map worker panicked"))
             .collect()
     })
 }

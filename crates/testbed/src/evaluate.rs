@@ -13,7 +13,7 @@
 //! such as `"kalman:ar=7"` or `"fallback:preamble,vvd:current"`
 //! ([`evaluate_specs`]), so new scenarios need zero harness edits.
 
-use crate::campaign::Campaign;
+use crate::campaign::{par_map, Campaign};
 use crate::combinations::{combinations_for, SetCombination};
 use crate::stream::{
     nominal_energy, stream_estimators, training_cirs, CombinationDatasets, EstimatorTrace,
@@ -25,7 +25,7 @@ use vvd_dsp::stats::BoxStats;
 use vvd_estimation::estimator::VvdModelPool;
 use vvd_estimation::metrics::{chip_error_rate, mean_squared_error, packet_error_rate};
 use vvd_estimation::registry::SpecError;
-use vvd_estimation::{EstimatorRegistry, ModelCache, Technique};
+use vvd_estimation::{spec_label, EstimatorRegistry, ModelCache, Technique};
 
 /// Aggregate metrics of one technique over one test set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +39,24 @@ pub struct TechniqueMetrics {
     pub mse: Option<f64>,
     /// Number of packets scored.
     pub packets: usize,
+}
+
+impl TechniqueMetrics {
+    /// The metrics of one streamed trace: PER and CER over its scored
+    /// packets, and the Eq.-9 MSE over its estimates (`None` without any).
+    ///
+    /// # Panics
+    /// Panics when the trace's estimates and truths do not pair up (see
+    /// [`EstimatorTrace::check_estimates`]).
+    pub fn from_trace(trace: &EstimatorTrace) -> Self {
+        TechniqueMetrics {
+            per: packet_error_rate(&trace.scored),
+            cer: chip_error_rate(&trace.scored),
+            mse: (!trace.estimates.is_empty())
+                .then(|| mean_squared_error(&trace.estimates, &trace.truths)),
+            packets: trace.scored.len(),
+        }
+    }
 }
 
 /// One point of the Fig.-15 time series.
@@ -224,16 +242,11 @@ pub fn evaluate_specs_with_cache(
     cache: Option<&ModelCache>,
 ) -> Result<CombinationResult, SpecError> {
     let registry = EstimatorRegistry::new();
-    let estimators = specs
-        .iter()
-        .map(|&spec| {
-            let label = spec
-                .parse::<Technique>()
-                .map(|t| t.label().to_string())
-                .unwrap_or_else(|_| spec.trim().to_string());
-            Ok(LabeledEstimator::new(label, registry.build(spec)?))
-        })
-        .collect::<Result<Vec<_>, SpecError>>()?;
+    let mut estimators = Vec::with_capacity(specs.len());
+    for &spec in specs {
+        let estimator = registry.build(spec)?;
+        estimators.push(LabeledEstimator::new(spec_label(spec), estimator));
+    }
     Ok(evaluate_estimators_with_cache(
         campaign,
         combination,
@@ -287,23 +300,10 @@ pub fn evaluate_estimators_with_cache(
     );
     let vvd_reports = pool.reports();
 
-    let mut metrics = BTreeMap::new();
-    for trace in &traces {
-        let mse = if trace.estimates.is_empty() {
-            None
-        } else {
-            Some(mean_squared_error(&trace.estimates, &trace.truths))
-        };
-        metrics.insert(
-            trace.label.clone(),
-            TechniqueMetrics {
-                per: packet_error_rate(&trace.scored),
-                cer: chip_error_rate(&trace.scored),
-                mse,
-                packets: trace.scored.len(),
-            },
-        );
-    }
+    let metrics = traces
+        .iter()
+        .map(|trace| (trace.label.clone(), TechniqueMetrics::from_trace(trace)))
+        .collect();
 
     let time_series =
         build_time_series(campaign, combination, &traces, score_from, reference_energy);
@@ -385,51 +385,15 @@ pub fn run_evaluation_with_cache(
     } else {
         1
     };
-
-    let results: Vec<CombinationResult> = if workers <= 1 {
-        combos
-            .iter()
-            .map(|c| evaluate_combination_with_cache(campaign, c, techniques, options, cache))
-            .collect()
-    } else {
-        // Deterministic round-robin assignment; results are stitched back
-        // in combination order, so worker count and scheduling are
-        // invisible in the output.  The combination workers already use the
-        // available parallelism, so each inner evaluation streams its
-        // estimators sequentially instead of fanning out a second time.
-        let inner = EvalOptions { parallel: false };
-        std::thread::scope(|scope| {
-            let combos = &combos;
-            let inner = &inner;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        combos
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, c)| {
-                                (
-                                    i,
-                                    evaluate_combination_with_cache(
-                                        campaign, c, techniques, inner, cache,
-                                    ),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut indexed: Vec<(usize, CombinationResult)> = handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("evaluation worker panicked"))
-                .collect();
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, r)| r).collect()
-        })
+    // Several combination workers already use the available parallelism,
+    // so each inner evaluation then streams its estimators sequentially
+    // instead of fanning out a second time.
+    let inner = EvalOptions {
+        parallel: options.parallel && workers == 1,
     };
-
+    let results = par_map(&combos, workers, |_, c| {
+        evaluate_combination_with_cache(campaign, c, techniques, &inner, cache)
+    });
     let summary = EvaluationSummary::from_results(&results);
     (results, summary)
 }

@@ -2,12 +2,12 @@
 //!
 //! One function, [`stream_estimators`], replays a combination's test set
 //! packet by packet over a set of boxed
-//! [`ChannelEstimator`](vvd_estimation::ChannelEstimator)s: fit on the
-//! training sets, then per packet *estimate → decode → score → observe*.
-//! Both the Figs. 11–15 technique comparison (`crate::evaluate`) and the
-//! Figs. 16–17 aging sweeps (`crate::aging`) are thin layers over this
-//! core, so a new estimator — registered by spec string, any AR order, any
-//! fallback chain — runs through every experiment without harness edits.
+//! [`ChannelEstimator`]s: fit on the training sets, then, per packet,
+//! [`step_packet`] — *estimate → decode → score → observe*.  Both the
+//! Figs. 11–15 technique comparison (`crate::evaluate`) and the Figs. 16–17
+//! aging sweeps (`crate::aging`) are thin layers over this core, so a new
+//! estimator — registered by spec string, any AR order, any fallback
+//! chain — runs through every experiment without harness edits.
 //!
 //! Estimators are independent by construction (no shared state after
 //! fitting), so the streaming phase optionally fans out over worker threads
@@ -15,44 +15,45 @@
 //! either way, which makes the parallel results bit-identical to the
 //! sequential ones.
 //!
-//! The per-session serving pipeline in `vvd-serve` replays this module's
-//! per-packet arithmetic verbatim (its [`EstimatorTrace`]s are
-//! bit-comparable to [`stream_estimators`]' ones) and reuses
-//! [`CombinationDatasets`] and [`training_cirs`] to fit its sessions —
-//! which is what the serve-vs-sequential golden test pins down.
+//! The per-session serving pipeline in `vvd-serve` decodes every packet
+//! through the same [`step_packet`], over products of the same
+//! [`PacketProducts::synthesize`], so its [`EstimatorTrace`]s equal
+//! [`stream_estimators`]' ones by construction; it reuses
+//! [`CombinationDatasets`] and [`training_cirs`] to fit its sessions.
 //!
 //! On top of the per-combination core, [`run_scenario_sweep`] fans the
 //! same machinery out over a (scenario × estimator) grid: each scenario
 //! spec generates its own campaign (batched CIR/waveform synthesis on
 //! worker threads, see `crate::campaign`), every estimator spec streams
 //! through every combination of it, and the scenarios themselves are
-//! spread round-robin over workers with the remaining cores divided among
-//! them as synthesis threads — so one call evaluates, say, 4 scenarios ×
-//! 14 techniques × all combinations without leaving cores idle.  One
+//! spread over workers with the remaining cores divided among them as
+//! synthesis threads — so one call evaluates, say, 4 scenarios × 14
+//! techniques × all combinations without leaving cores idle.  One
 //! content-addressed model cache is shared across the whole grid, so grid
 //! cells whose VVD trainings have identical provenance train once and hit
 //! the cache afterwards ([`run_scenario_sweep_report`] returns the
 //! hit/miss accounting alongside the outcomes).
 
-use crate::campaign::{Campaign, FrameRecord, MeasurementSet};
+use crate::campaign::{par_map, Campaign, MeasurementSet, PacketRecord};
 use crate::combinations::{combinations_for, SetCombination};
 use crate::evaluate::{
     evaluate_specs_with_cache, CombinationResult, EvalOptions, EvaluationSummary,
 };
 use std::fmt;
-use vvd_channel::scenario::{BoxedScenario, ScenarioRegistry, SpecParseError};
+use vvd_channel::scenario::{ScenarioRegistry, SpecParseError};
 use vvd_core::VvdVariant;
-use vvd_dsp::FirFilter;
+use vvd_dsp::{CVec, FirFilter};
 use vvd_estimation::decode::decode_with_reference;
 use vvd_estimation::estimator::{
-    BoxedEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation, TrainingContext,
-    VvdDatasetSource, VvdModelPool,
+    BoxedEstimator, ChannelEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation,
+    TrainingContext, VvdDatasetSource, VvdModelPool,
 };
 use vvd_estimation::ls::preamble_estimate;
 use vvd_estimation::phase::align_mean_phase;
 use vvd_estimation::EqualizerConfig;
 use vvd_estimation::{ModelCache, ModelCacheStats};
-use vvd_phy::{DecodeOutcome, Receiver};
+use vvd_phy::{DecodeOutcome, ModulatedFrame, Receiver};
+use vvd_vision::DepthImage;
 
 /// An estimator plus the label its results are reported under.
 pub struct LabeledEstimator {
@@ -79,8 +80,6 @@ pub struct StreamOptions {
     /// Index of the first test packet that is scored; earlier packets are
     /// only streamed through [`ChannelEstimator::observe`] (estimator
     /// warm-up, cf. the paper's 200-packet Kalman warm-up).
-    ///
-    /// [`ChannelEstimator::observe`]: vvd_estimation::ChannelEstimator::observe
     pub score_from: usize,
     /// Stream estimators on worker threads (capped at the available
     /// parallelism).  Results are bit-identical to the sequential path.
@@ -88,7 +87,7 @@ pub struct StreamOptions {
 }
 
 /// Per-estimator result of a streaming run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EstimatorTrace {
     /// The estimator's label.
     pub label: String,
@@ -104,6 +103,52 @@ pub struct EstimatorTrace {
     /// zero-sized losses), aligned across estimators — the Fig.-15 time
     /// series is assembled from these.
     pub per_packet: Vec<DecodeOutcome>,
+}
+
+impl EstimatorTrace {
+    /// An empty trace reported under `label`.
+    pub fn new(label: impl Into<String>) -> Self {
+        EstimatorTrace {
+            label: label.into(),
+            ..Self::default()
+        }
+    }
+
+    /// Checks that `estimates` and `truths` pair up for the Eq.-9 MSE:
+    /// equal counts, and equal tap counts in every pair.
+    ///
+    /// # Errors
+    /// A description of the disagreement.
+    pub fn check_estimates(&self) -> Result<(), String> {
+        let paired = self.estimates.len() == self.truths.len()
+            && (self.estimates.iter().zip(&self.truths)).all(|(e, t)| e.len() == t.len());
+        paired.then_some(()).ok_or_else(|| {
+            let (estimates, truths) = (self.estimates.len(), self.truths.len());
+            format!("{estimates} estimates do not pair up tap for tap with {truths} truths")
+        })
+    }
+
+    /// Checks that the trace has the shape [`step_packet`] gives one after
+    /// `streamed` packets scored from packet `score_from` on: one
+    /// `per_packet` outcome per scored packet, `estimates ≤ scored ≤
+    /// per_packet`, and estimates that pair up with their truths.
+    ///
+    /// # Errors
+    /// A description of the disagreement.
+    pub fn check_shape(&self, streamed: usize, score_from: usize) -> Result<(), String> {
+        let (estimates, scored) = (self.estimates.len(), self.scored.len());
+        let per_packet = self.per_packet.len();
+        if per_packet != streamed.saturating_sub(score_from)
+            || scored > per_packet
+            || estimates > scored
+        {
+            return Err(format!(
+                "{estimates} estimates, {scored} scored and {per_packet} per-packet outcomes \
+                 after {streamed} packets scored from packet {score_from} on"
+            ));
+        }
+        self.check_estimates()
+    }
 }
 
 /// Builds the VVD training/validation datasets of a combination, on demand
@@ -174,16 +219,152 @@ pub fn nominal_energy(training_cirs: &[FirFilter]) -> f64 {
     energies[energies.len() / 2]
 }
 
-/// [`FrameSource`] over a measurement set's frame records.
-struct SetFrames<'a>(&'a [FrameRecord]);
-
-impl FrameSource for SetFrames<'_> {
-    fn frame(&self, index: usize) -> &vvd_vision::DepthImage {
-        &self.0[index].image
+/// A measurement set serves its depth frames to estimators by frame index.
+impl FrameSource for MeasurementSet {
+    fn frame(&self, index: usize) -> &DepthImage {
+        &self.frames[index].image
     }
     fn n_frames(&self) -> usize {
-        self.0.len()
+        self.frames.len()
     }
+}
+
+/// The estimator-independent DSP products of one packet: its regenerated
+/// transmitted frame, received waveform and preamble LS fit.
+pub struct PacketProducts {
+    /// The regenerated transmitted frame.
+    pub tx: ModulatedFrame,
+    /// The regenerated received waveform.
+    pub received: CVec,
+    /// The preamble LS channel fit (when the solve succeeded).
+    pub preamble_est: Option<FirFilter>,
+}
+
+impl PacketProducts {
+    /// Regenerates the products of packet `record_index` of set `set_id` —
+    /// the one synthesis routine behind every decoded packet, offline and
+    /// served.
+    pub fn synthesize(campaign: &Campaign, set_id: usize, record_index: usize) -> Self {
+        let (tx, received) = campaign.received_waveform(set_id, record_index);
+        let taps = campaign.config.equalizer.channel_taps;
+        let preamble_est = preamble_estimate(&tx, received.as_slice(), taps).ok();
+        PacketProducts {
+            tx,
+            received,
+            preamble_est,
+        }
+    }
+}
+
+/// One test packet as [`step_packet`] sees it.
+pub struct StreamPacket<'a> {
+    /// The campaign the packet belongs to.
+    pub campaign: &'a Campaign,
+    /// Id of the packet's test set.
+    pub set: usize,
+    /// Index of the packet within the set.
+    pub index: usize,
+    /// `true` when the packet is decoded and scored (else only observed).
+    pub score: bool,
+    /// The packet's products: required when it is scored.
+    pub products: Option<&'a PacketProducts>,
+}
+
+impl<'a> StreamPacket<'a> {
+    /// The packet's record.
+    fn record(&self) -> &'a PacketRecord {
+        &self.campaign.set(self.set).packets[self.index]
+    }
+
+    /// What the estimator is asked for this packet (also what a serve
+    /// session plans its batched inference from).
+    pub fn request(&self) -> EstimateRequest<'a> {
+        let record = self.record();
+        EstimateRequest {
+            packet_index: self.index,
+            perfect_cir: &record.perfect_cir,
+            preamble_estimate: self.products.and_then(|p| p.preamble_est.as_ref()),
+            preamble_detected: record.preamble_detected,
+            frame_index: record.frame_index,
+            frames: self.campaign.set(self.set),
+        }
+    }
+}
+
+/// The per-packet step behind every reported number: for a scored packet,
+/// estimate (with `prediction`, a batch-computed VVD output, when one was
+/// planned), decode and score; then show the estimator the packet's ground
+/// truth (and its preamble estimate, if it wants preamble observations).
+///
+/// What each [`Estimate`] adds to `trace`:
+/// - `Bypass`: standard decoding, to `scored` and `per_packet`;
+/// - `Ready`: equalized decoding, to `scored` and `per_packet`, and the
+///   estimate as used (after any phase alignment) with the perfect one,
+///   the Eq.-9 MSE pair, to `estimates` / `truths`;
+/// - `Lost`: a loss of every PSDU chip and symbol, to `scored` and
+///   `per_packet`;
+/// - `Skip`: a zero-sized loss to `per_packet` only, which keeps the
+///   per-packet series aligned across estimators.
+///
+/// # Panics
+/// Panics when a scored packet comes without products.
+pub fn step_packet(
+    estimator: &mut dyn ChannelEstimator,
+    trace: &mut EstimatorTrace,
+    packet: &StreamPacket<'_>,
+    prediction: Option<&FirFilter>,
+) {
+    let record = packet.record();
+    let preamble_est = packet.products.and_then(|p| p.preamble_est.as_ref());
+    if packet.score {
+        let PacketProducts { tx, received, .. } =
+            packet.products.expect("scored packets are synthesized");
+        let cfg = &packet.campaign.config;
+        let receiver = Receiver::new(cfg.phy);
+        let outcome = match estimator.estimate_with_vvd(&packet.request(), prediction) {
+            Estimate::Bypass => {
+                let offset = receiver.synchronize(received.as_slice(), tx).offset;
+                Some(receiver.decode_standard(&received.as_slice()[offset..], tx))
+            }
+            Estimate::Ready { cir, align_phase } => {
+                let config = EqualizerConfig {
+                    align_phase: align_phase && cfg.equalizer.align_phase,
+                    ..cfg.equalizer
+                };
+                let outcome = decode_with_reference(
+                    &receiver,
+                    tx,
+                    received.as_slice(),
+                    &cir,
+                    preamble_est,
+                    &config,
+                );
+                let used = match (config.align_phase, preamble_est) {
+                    (true, Some(reference)) => align_mean_phase(&cir, reference).0,
+                    _ => cir,
+                };
+                trace.estimates.push(used);
+                trace.truths.push(record.perfect_cir.clone());
+                Some(outcome)
+            }
+            Estimate::Lost => Some(DecodeOutcome::lost(
+                tx.psdu_chips().len(),
+                tx.frame.psdu_symbols().len(),
+            )),
+            Estimate::Skip => None,
+        };
+        trace.scored.extend(outcome);
+        trace
+            .per_packet
+            .push(outcome.unwrap_or(DecodeOutcome::lost(0, 0)));
+    }
+
+    let observed_preamble = preamble_est.filter(|_| estimator.wants_preamble_observations());
+    estimator.observe(&PacketObservation {
+        perfect_cir: &record.perfect_cir,
+        aligned_cir: &record.aligned_cir,
+        preamble_estimate: observed_preamble,
+    });
 }
 
 /// Fits the estimators on the combination's training data and streams the
@@ -243,137 +424,38 @@ pub fn stream_estimators(
     })
 }
 
-/// Streams the full test set through a chunk of estimators with one shared
-/// packet scan: the received waveform, its preamble-based LS estimate and
-/// (when needed) the synchronisation offset are computed once per packet
-/// and reused by every estimator of the chunk — the per-estimator
-/// arithmetic is untouched, so chunking cannot change any result.
+/// Streams the full test set through a chunk of estimators: each packet's
+/// products are synthesized once — when the packet is scored or some
+/// estimator of the chunk wants preamble observations — and every
+/// estimator steps through it with [`step_packet`].
 fn stream_chunk(
     campaign: &Campaign,
     combination: &SetCombination,
     chunk: Vec<LabeledEstimator>,
     options: &StreamOptions,
 ) -> Vec<EstimatorTrace> {
-    let cfg = &campaign.config;
-    let receiver = Receiver::new(cfg.phy);
-    let eq = cfg.equalizer;
-    let test_set: &MeasurementSet = campaign.set(combination.test);
-    let frames = SetFrames(&test_set.frames);
-
-    let (labels, mut estimators): (Vec<String>, Vec<BoxedEstimator>) = chunk
+    let set = combination.test;
+    let (mut traces, mut estimators): (Vec<EstimatorTrace>, Vec<BoxedEstimator>) = chunk
         .into_iter()
-        .map(|labeled| (labeled.label, labeled.estimator))
+        .map(|labeled| (EstimatorTrace::new(labeled.label), labeled.estimator))
         .unzip();
-    let wants_preamble_obs: Vec<bool> = estimators
-        .iter()
-        .map(|e| e.wants_preamble_observations())
-        .collect();
-    let any_wants_preamble = wants_preamble_obs.iter().any(|&w| w);
+    let any_wants_preamble = estimators.iter().any(|e| e.wants_preamble_observations());
 
-    let mut traces: Vec<EstimatorTrace> = labels
-        .into_iter()
-        .map(|label| EstimatorTrace {
-            label,
-            scored: Vec::new(),
-            estimates: Vec::new(),
-            truths: Vec::new(),
-            per_packet: Vec::new(),
-        })
-        .collect();
-
-    for (k, record) in test_set.packets.iter().enumerate() {
-        let score = k >= options.score_from;
-
-        // The received waveform (and the preamble-based LS estimate derived
-        // from it) is regenerated once per packet, and only when the packet
-        // is decoded or some estimator asked for preamble observations.
-        let regen = if score || any_wants_preamble {
-            let (tx, received) = campaign.received_waveform(combination.test, record.index);
-            let preamble_est = preamble_estimate(&tx, received.as_slice(), eq.channel_taps).ok();
-            Some((tx, received, preamble_est))
-        } else {
-            None
+    for (index, record) in campaign.set(set).packets.iter().enumerate() {
+        let score = index >= options.score_from;
+        let products = (score || any_wants_preamble)
+            .then(|| PacketProducts::synthesize(campaign, set, record.index));
+        let packet = StreamPacket {
+            campaign,
+            set,
+            index,
+            score,
+            products: products.as_ref(),
         };
-        // Synchronisation offset, computed at most once per packet (only
-        // bypass decoding needs it).
-        let mut sync_offset: Option<usize> = None;
-
-        for (i, estimator) in estimators.iter_mut().enumerate() {
-            let trace = &mut traces[i];
-            if score {
-                let (tx, received, preamble_est) =
-                    regen.as_ref().expect("scored packets are regenerated");
-                let request = EstimateRequest {
-                    packet_index: k,
-                    perfect_cir: &record.perfect_cir,
-                    preamble_estimate: preamble_est.as_ref(),
-                    preamble_detected: record.preamble_detected,
-                    frame_index: record.frame_index,
-                    frames: &frames,
-                };
-                match estimator.estimate(&request) {
-                    Estimate::Bypass => {
-                        let offset = *sync_offset.get_or_insert_with(|| {
-                            receiver.synchronize(received.as_slice(), tx).offset
-                        });
-                        let outcome = receiver.decode_standard(&received.as_slice()[offset..], tx);
-                        trace.scored.push(outcome);
-                        trace.per_packet.push(outcome);
-                    }
-                    Estimate::Ready { cir, align_phase } => {
-                        let config = EqualizerConfig {
-                            align_phase: align_phase && eq.align_phase,
-                            ..eq
-                        };
-                        let outcome = decode_with_reference(
-                            &receiver,
-                            tx,
-                            received.as_slice(),
-                            &cir,
-                            preamble_est.as_ref(),
-                            &config,
-                        );
-                        trace.scored.push(outcome);
-                        trace.per_packet.push(outcome);
-                        // Eq.-9 MSE bookkeeping: compare the estimate as it
-                        // was actually used (after alignment) with the
-                        // perfect one.
-                        let aligned = match (config.align_phase, preamble_est.as_ref()) {
-                            (true, Some(reference)) => align_mean_phase(&cir, reference).0,
-                            _ => cir.clone(),
-                        };
-                        trace.estimates.push(aligned);
-                        trace.truths.push(record.perfect_cir.clone());
-                    }
-                    Estimate::Lost => {
-                        let outcome = DecodeOutcome::lost(
-                            tx.psdu_chips().len(),
-                            tx.frame.psdu_symbols().len(),
-                        );
-                        trace.scored.push(outcome);
-                        trace.per_packet.push(outcome);
-                    }
-                    Estimate::Skip => {
-                        // Not scored; recorded as a zero-sized loss so the
-                        // per-packet streams stay aligned across estimators.
-                        trace.per_packet.push(DecodeOutcome::lost(0, 0));
-                    }
-                }
-            }
-
-            let observation = PacketObservation {
-                perfect_cir: &record.perfect_cir,
-                aligned_cir: &record.aligned_cir,
-                preamble_estimate: if wants_preamble_obs[i] {
-                    regen.as_ref().and_then(|(_, _, pre)| pre.as_ref())
-                } else {
-                    None
-                },
-            };
-            estimator.observe(&observation);
+        for (estimator, trace) in estimators.iter_mut().zip(&mut traces) {
+            step_packet(estimator.as_mut(), trace, &packet, None);
         }
     }
-
     traces
 }
 
@@ -447,10 +529,10 @@ pub struct SweepReport {
 ///
 /// All specs are validated up front — an invalid cell fails the call
 /// before any campaign is generated.  With [`EvalOptions::parallel`],
-/// scenarios are spread round-robin over `std::thread::scope` workers and
-/// the remaining hardware parallelism is divided among them as each
-/// worker's campaign-synthesis thread budget (a 2-scenario sweep on 16
-/// cores runs 2 scenario workers with 8 synthesis threads each); inner
+/// scenarios are spread over [`par_map`] workers and the remaining
+/// hardware parallelism is divided among them as each worker's
+/// campaign-synthesis thread budget (a 2-scenario sweep on 16 cores runs
+/// 2 scenario workers with 8 synthesis threads each); inner
 /// estimator streaming stays sequential per worker to avoid a third
 /// fan-out level.  With a single scenario the inner pipeline fans out over
 /// estimators instead.  Either way the outcome list is in input order and
@@ -493,10 +575,9 @@ pub fn run_scenario_sweep_report(
         estimator_registry.build(spec)?;
     }
     let scenario_registry = ScenarioRegistry::new().with_cir_config(config.cir);
-    let mut scenarios: Vec<BoxedScenario> = scenario_specs
-        .iter()
-        .map(|spec| scenario_registry.build(spec))
-        .collect::<Result<_, _>>()?;
+    for spec in scenario_specs {
+        scenario_registry.build(spec)?;
+    }
 
     // One model cache for the whole grid, shared across scenario workers.
     // With `VVD_MODEL_CACHE_DIR` set, trained models also persist to disk,
@@ -509,97 +590,48 @@ pub fn run_scenario_sweep_report(
         None => ModelCache::new(),
     };
 
+    // Several scenario workers each evaluate with a sequential inner
+    // pipeline but a share of the synthesis threads; a single worker keeps
+    // the caller's options and every thread.
     let available = vvd_dsp::worker_budget();
     let workers = if options.parallel {
-        available.min(scenarios.len().max(1))
+        available.min(scenario_specs.len().max(1))
     } else {
         1
     };
-
-    if workers <= 1 {
-        let synthesis_workers = if options.parallel { available } else { 1 };
-        let outcomes = scenarios
-            .iter_mut()
-            .map(|scenario| {
-                evaluate_scenario(
-                    config,
-                    scenario,
-                    estimator_specs,
-                    options,
-                    synthesis_workers,
-                    &cache,
-                )
-            })
-            .collect();
-        return Ok(SweepReport {
-            outcomes,
-            model_cache: cache.stats(),
-        });
-    }
-
-    // Round-robin over workers; each worker evaluates its scenarios with a
-    // sequential inner pipeline but a share of the synthesis threads, and
-    // results are stitched back in input order.
-    let synthesis_workers = (available / workers).max(1);
-    let inner = EvalOptions { parallel: false };
-    let mut indexed: Vec<(usize, ScenarioOutcome)> = std::thread::scope(|scope| {
-        let inner = &inner;
-        let cache = &cache;
-        // Distribute the stateful scenario objects round-robin, by mutable
-        // reference (each lives on exactly one worker).
-        let mut buckets: Vec<Vec<(usize, &mut BoxedScenario)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, scenario) in scenarios.iter_mut().enumerate() {
-            buckets[i % workers].push((i, scenario));
-        }
-        let worker_handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(i, scenario)| {
-                            (
-                                i,
-                                evaluate_scenario(
-                                    config,
-                                    scenario,
-                                    estimator_specs,
-                                    inner,
-                                    synthesis_workers,
-                                    cache,
-                                ),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        worker_handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("scenario sweep worker panicked"))
-            .collect()
+    let inner = EvalOptions {
+        parallel: options.parallel && workers == 1,
+    };
+    let synthesis_workers = if options.parallel {
+        (available / workers).max(1)
+    } else {
+        1
+    };
+    // Each worker builds its own stateful scenario from the validated spec.
+    let outcomes = par_map(scenario_specs, workers, |_, spec| {
+        let mut scenario = scenario_registry
+            .build(spec)
+            .expect("scenario specs are validated before the sweep starts");
+        let campaign =
+            Campaign::generate_scenario_with(config, scenario.as_mut(), synthesis_workers);
+        evaluate_scenario(config, campaign, estimator_specs, &inner, &cache)
     });
-    indexed.sort_by_key(|(i, _)| *i);
     Ok(SweepReport {
-        outcomes: indexed.into_iter().map(|(_, outcome)| outcome).collect(),
+        outcomes,
         model_cache: cache.stats(),
     })
 }
 
-/// Evaluates one scenario cell of a sweep: generate the campaign (with the
-/// given synthesis-thread budget), stream every estimator spec through
-/// every combination (resolving VVD trainings through the sweep-wide model
-/// cache), aggregate.
+/// Evaluates one scenario cell of a sweep over its generated campaign:
+/// stream every estimator spec through every combination (resolving VVD
+/// trainings through the sweep-wide model cache), aggregate.
 fn evaluate_scenario(
     config: &crate::config::EvalConfig,
-    scenario: &mut BoxedScenario,
+    campaign: Campaign,
     estimator_specs: &[&str],
     options: &EvalOptions,
-    synthesis_workers: usize,
     cache: &ModelCache,
 ) -> ScenarioOutcome {
-    let campaign = Campaign::generate_scenario_with(config, scenario.as_mut(), synthesis_workers);
     let camera_blind = campaign
         .sets
         .iter()
@@ -627,6 +659,7 @@ fn evaluate_scenario(
 mod tests {
     use super::*;
     use crate::config::EvalConfig;
+    use std::collections::VecDeque;
     use vvd_estimation::estimator::{GroundTruth, Previous, Standard};
 
     fn smoke() -> (Campaign, SetCombination) {
@@ -694,6 +727,135 @@ mod tests {
                 assert_eq!(a.taps(), b.taps());
             }
         }
+    }
+
+    /// An estimator that answers a fixed script and records what the step
+    /// shows it.
+    struct Scripted {
+        script: VecDeque<Estimate>,
+        wants_preamble: bool,
+        predictions: Vec<Option<FirFilter>>,
+        observed_preamble: Vec<bool>,
+    }
+
+    impl Scripted {
+        fn new(script: impl IntoIterator<Item = Estimate>, wants_preamble: bool) -> Self {
+            Scripted {
+                script: script.into_iter().collect(),
+                wants_preamble,
+                predictions: Vec::new(),
+                observed_preamble: Vec::new(),
+            }
+        }
+    }
+
+    impl ChannelEstimator for Scripted {
+        fn observe(&mut self, obs: &PacketObservation<'_>) {
+            self.observed_preamble.push(obs.preamble_estimate.is_some());
+        }
+        fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
+            self.estimate_with_vvd(req, None)
+        }
+        fn estimate_with_vvd(
+            &mut self,
+            _req: &EstimateRequest<'_>,
+            prediction: Option<&FirFilter>,
+        ) -> Estimate {
+            self.predictions.push(prediction.cloned());
+            self.script
+                .pop_front()
+                .expect("one scripted estimate per call")
+        }
+        fn wants_preamble_observations(&self) -> bool {
+            self.wants_preamble
+        }
+    }
+
+    #[test]
+    fn step_packet_books_each_estimate_arm() {
+        let (campaign, combo) = smoke();
+        let set = combo.test;
+        let products: Vec<PacketProducts> = (0..6)
+            .map(|k| PacketProducts::synthesize(&campaign, set, k))
+            .collect();
+        let packet = |index: usize, score: bool| StreamPacket {
+            campaign: &campaign,
+            set,
+            index,
+            score,
+            products: Some(&products[index]),
+        };
+        let truth = |k: usize| campaign.set(set).packets[k].perfect_cir.clone();
+        let lengths = |t: &EstimatorTrace| {
+            [
+                t.scored.len(),
+                t.per_packet.len(),
+                t.estimates.len(),
+                t.truths.len(),
+            ]
+        };
+
+        // Packets 1..=5, one arm each, with the growth of (scored,
+        // per_packet, estimates, truths) it must cause.
+        let stale = truth(0);
+        let script = [
+            (Estimate::Bypass, [1, 1, 0, 0]),
+            (Estimate::phased(truth(2)), [1, 1, 1, 1]),
+            (Estimate::aligned(stale.clone()), [1, 1, 1, 1]),
+            (Estimate::Lost, [1, 1, 0, 0]),
+            (Estimate::Skip, [0, 1, 0, 0]),
+        ];
+        let mut estimator = Scripted::new(script.iter().map(|(e, _)| e.clone()), false);
+        let mut trace = EstimatorTrace::new("scripted");
+        // A warm-up packet is observed, never estimated.
+        step_packet(&mut estimator, &mut trace, &packet(0, false), None);
+        assert_eq!(trace, EstimatorTrace::new("scripted"));
+        let prediction = truth(1);
+        for (k, (_, growth)) in (1..).zip(&script) {
+            let before = lengths(&trace);
+            let supplied = (k == 2).then_some(&prediction);
+            step_packet(&mut estimator, &mut trace, &packet(k, true), supplied);
+            let after = lengths(&trace);
+            let grown: Vec<usize> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            assert_eq!(grown, growth, "packet {k}");
+        }
+
+        // Ready: the estimate as the equalizer used it, against the
+        // packet's perfect estimate — aligned only when asked to.
+        let reference = products[3]
+            .preamble_est
+            .as_ref()
+            .expect("the LS fit succeeds");
+        let aligned = align_mean_phase(&stale, reference).0;
+        assert_ne!(aligned, stale);
+        assert_eq!(trace.estimates, vec![truth(2), aligned]);
+        assert_eq!(trace.truths, vec![truth(2), truth(3)]);
+        // Lost counts every PSDU chip and symbol; Skip is a zero-sized
+        // loss in the per-packet series only.
+        let tx = &products[4].tx;
+        let lost = DecodeOutcome::lost(tx.psdu_chips().len(), tx.frame.psdu_symbols().len());
+        assert_eq!(trace.scored[3], lost);
+        assert_eq!(trace.per_packet[4], DecodeOutcome::lost(0, 0));
+        // observe ran once per packet, warm-up included, without the
+        // preamble estimate; the prediction reached the estimator.
+        assert_eq!(estimator.observed_preamble, vec![false; 6]);
+        assert_eq!(
+            estimator.predictions,
+            vec![None, Some(prediction), None, None, None]
+        );
+
+        // A preamble-observing estimator sees the estimate whenever the
+        // packet comes with products, warm-up included.
+        let mut observer = Scripted::new([Estimate::Skip], true);
+        let mut trace = EstimatorTrace::new("observer");
+        let bare = StreamPacket {
+            products: None,
+            ..packet(1, false)
+        };
+        step_packet(&mut observer, &mut trace, &packet(0, false), None);
+        step_packet(&mut observer, &mut trace, &bare, None);
+        step_packet(&mut observer, &mut trace, &packet(2, true), None);
+        assert_eq!(observer.observed_preamble, vec![true, false, true]);
     }
 
     #[test]

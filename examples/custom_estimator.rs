@@ -14,7 +14,7 @@
 use vvd::dsp::FirFilter;
 use vvd::estimation::estimator::{ChannelEstimator, Estimate, EstimateRequest, PacketObservation};
 use vvd::estimation::registry::SpecError;
-use vvd::estimation::{EstimatorRegistry, Technique};
+use vvd::estimation::{spec_label, EstimatorRegistry};
 use vvd::testbed::{
     combinations_for, evaluate_estimators, Campaign, EvalConfig, EvalOptions, LabeledEstimator,
 };
@@ -94,11 +94,7 @@ fn main() {
     let estimators = specs
         .iter()
         .map(|&spec| {
-            let label = spec
-                .parse::<Technique>()
-                .map(|t| t.label().to_string())
-                .unwrap_or_else(|_| spec.to_string());
-            LabeledEstimator::new(label, registry.build(spec).expect("valid spec"))
+            LabeledEstimator::new(spec_label(spec), registry.build(spec).expect("valid spec"))
         })
         .collect();
     let result = evaluate_estimators(&campaign, combination, estimators, &EvalOptions::default());

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vvd::estimation::estimator::VvdModelPool;
-use vvd::estimation::{EstimatorRegistry, Technique};
+use vvd::estimation::{spec_label, EstimatorRegistry};
 use vvd::serve::{serve, LoadGenerator, ServeOptions, SessionSpec};
 use vvd::testbed::stream::{
     stream_estimators, training_cirs, CombinationDatasets, EstimatorTrace, LabeledEstimator,
@@ -24,14 +24,6 @@ fn golden_config() -> EvalConfig {
     cfg.kalman_warmup_packets = 4;
     cfg.max_vvd_training_samples = 40;
     cfg
-}
-
-/// The harness label of an estimator spec (same policy as the serving
-/// layer and the offline `evaluate_specs`).
-fn label_of(spec: &str) -> String {
-    spec.parse::<Technique>()
-        .map(|t| t.label().to_string())
-        .unwrap_or_else(|_| spec.trim().to_string())
 }
 
 /// The sequential reference: the session's estimator streamed alone
@@ -51,7 +43,10 @@ fn sequential_reference(
     stream_estimators(
         campaign,
         &combination,
-        vec![LabeledEstimator::new(label_of(&spec.estimator), estimator)],
+        vec![LabeledEstimator::new(
+            spec_label(&spec.estimator),
+            estimator,
+        )],
         &cirs,
         &pool,
         &StreamOptions {
