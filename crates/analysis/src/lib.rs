@@ -17,7 +17,7 @@
 //! * [`rules::Rule::AmbientEntropy`] — `thread_rng`/`from_entropy`
 //!   (randomness must flow from caller-seeded RNGs),
 //! * [`rules::Rule::FloatReduce`] — unpinned float reductions in kernel
-//!   and `thread::scope` files,
+//!   and fan-out files (`thread::scope`, `fan_out(`, `par_map(`),
 //! * [`rules::Rule::AttrDrift`] — crate roots missing the
 //!   `#![deny(unsafe_code)]`/`#![deny(missing_docs)]` headers,
 //! * [`rules::Rule::Panic`] — `unwrap()`/message-less `expect()` in

@@ -92,8 +92,9 @@ impl Rule {
                  caller-seeded RNGs)"
             }
             Rule::FloatReduce => {
-                ".sum()/.product() in kernel or thread::scope files without a pinned \
-                 order (use vvd_dsp::accum or an integer turbofish)"
+                ".sum()/.product() in kernel files or thread fan-out files \
+                 (thread::scope, fan_out, par_map) without a pinned order (use \
+                 vvd_dsp::accum or an integer turbofish)"
             }
             Rule::AttrDrift => "crate root missing #![deny(unsafe_code)] / #![deny(missing_docs)]",
             Rule::Panic => {
@@ -400,12 +401,15 @@ fn check_float_reduce(
     unit: &ScanUnit,
     findings: &mut Vec<Finding>,
 ) {
-    // Scope: kernel files and files that fan work out across
-    // `thread::scope` workers — exactly where reduction order is the
-    // bit-identity contract.
+    // Scope: kernel files and files that fan work out across threads —
+    // `thread::scope` itself or a call of `vvd_dsp::fan_out` / `par_map` —
+    // exactly where reduction order is the bit-identity contract.
+    let toks = &unit.tokens;
     let is_scope_file = ctx.in_kernels_dir
-        || unit.tokens.iter().enumerate().any(|(i, t)| {
-            t.ident() == Some("scope") && preceded_by_path_seg(&unit.tokens, i, "thread")
+        || toks.iter().enumerate().any(|(i, t)| match t.ident() {
+            Some("scope") => preceded_by_path_seg(toks, i, "thread"),
+            Some("fan_out" | "par_map") => toks.get(i + 1).is_some_and(|n| n.is_punct('(')),
+            _ => false,
         });
     if !is_scope_file {
         return;
@@ -702,6 +706,18 @@ mod tests {
                    std::thread::scope(|_| ());\n\
                    v.iter().map(|x| x.len()).sum::<usize>()\n}\n";
         assert!(run("crates/testbed/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn bare_float_sum_in_fan_out_file_fires() {
+        // A file that only calls `fan_out(` — no `thread::scope` token —
+        // is a parallel-scope file all the same.
+        let src = "fn f(v: &mut [f64]) -> f64 {\n\
+                   vvd_dsp::fan_out(v, 2, |_, _| ());\n\
+                   v.iter().sum()\n}\n";
+        let f = run("crates/testbed/src/x.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, Rule::FloatReduce);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! nondeterminism hazard anywhere in `crates/*/src`, with the finding's
 //! `file:line` in the failure message.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use vvd_analyze::scanner::scan;
 use vvd_analyze::{analyze_workspace, scan_set, Config};
 
 fn workspace_root() -> PathBuf {
@@ -51,6 +53,36 @@ fn serve_stopwatch_is_the_only_clock_and_no_source_is_waived() {
             rel.display()
         );
     }
+}
+
+#[test]
+fn dsp_fan_out_is_the_only_thread_scope() {
+    // One thread fan-out: `vvd_dsp::fan_out` holds the workspace's only
+    // `thread::scope`.  Scanned tokens, so comments, strings and test
+    // regions do not count.  vvd-net's long-lived loopback `thread::spawn`
+    // workers are a transport, not a fan-out, and stay.
+    let root = workspace_root();
+    let mut files = BTreeSet::new();
+    for rel in scan_set(&root).expect("workspace sources are readable") {
+        let source = std::fs::read_to_string(root.join(&rel)).expect("source is readable");
+        let unit = scan(&source);
+        let toks = &unit.tokens;
+        let scoped = (3..toks.len()).any(|i| {
+            !unit.in_test[i]
+                && toks[i].ident() == Some("scope")
+                && toks[i - 1].is_punct(':')
+                && toks[i - 2].is_punct(':')
+                && toks[i - 3].ident() == Some("thread")
+        });
+        if scoped {
+            files.insert(rel.display().to_string());
+        }
+    }
+    assert_eq!(
+        files,
+        BTreeSet::from(["crates/dsp/src/workers.rs".to_string()]),
+        "thread::scope outside the one fan-out helper"
+    );
 }
 
 #[test]

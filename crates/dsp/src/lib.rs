@@ -37,4 +37,6 @@ pub use correlation::{autocorrelation, autocorrelation_coefficients, cross_corre
 pub use cvec::CVec;
 pub use fir::FirFilter;
 pub use solve::{convolution_least_squares, least_squares, solve_linear};
-pub use workers::{checkpoint_interval, per_process_worker_budget, proc_budget, worker_budget};
+pub use workers::{
+    checkpoint_interval, fan_out, par_map, per_process_worker_budget, proc_budget, worker_budget,
+};

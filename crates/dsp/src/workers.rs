@@ -1,10 +1,18 @@
-//! The shared worker-budget policy of every parallel fan-out in the
-//! workspace.
+//! The one thread fan-out of the workspace and the worker-budget policy
+//! that sizes it.
 //!
 //! All parallelism in this repository is *deterministic*: workers only ever
 //! process disjoint work items (estimators, packets, sessions, GEMM row
-//! chunks) whose per-item arithmetic is independent of the worker count, so
+//! blocks) whose per-item arithmetic is independent of the worker count, so
 //! results are bit-identical whether a fan-out runs on 1 thread or 64.
+//! [`fan_out`] is the only library code that spreads such work over
+//! threads: it cuts a slice into contiguous chunks, runs the first chunk on
+//! the calling thread and every other one on a scoped worker, returns the
+//! per-chunk results in chunk order and resumes a worker's panic with the
+//! worker's own payload.  [`par_map`] is its order-preserving map form.
+//! (`vvd-net`'s long-lived loopback workers are a transport, not a
+//! fan-out.)
+//!
 //! [`worker_budget`] is the single knob that sizes those fan-outs:
 //!
 //! * by default it follows [`std::thread::available_parallelism`];
@@ -21,10 +29,67 @@
 //! across the processes so a cluster does not oversubscribe the machine.
 //!
 //! This module is the *single* ambient-environment site for the
-//! worker-budget concern (the process axis included):
-//! `vvd_nn::kernels::hardware_workers` delegates here, and the
-//! `ambient-env` rule of `vvd-analyze` rejects any other `VVD_WORKERS` /
-//! `VVD_PROCS` read introduced elsewhere.
+//! worker-budget concern (the process axis included): the `ambient-env`
+//! rule of `vvd-analyze` rejects any other `VVD_WORKERS` / `VVD_PROCS`
+//! read introduced elsewhere.
+
+use std::iter;
+use std::panic::resume_unwind;
+
+/// Runs `f` over contiguous chunks of `items` on up to `workers` threads
+/// and returns the per-chunk results in chunk order.
+///
+/// `f(first_index, chunk)` receives the index of the chunk's first item
+/// and the chunk itself.  `workers` is clamped to `1..=items.len()`; the
+/// chunks are `items.len().div_ceil(workers)` items long (the last one
+/// possibly shorter), the first runs on the calling thread and the others
+/// on [`std::thread::scope`] workers, so a single chunk spawns nothing and
+/// empty `items` run nothing.  Every item is in exactly one chunk; with `f`
+/// pure per item, the worker count cannot change any result.
+///
+/// # Panics
+/// A panic in `f` is resumed on the calling thread with the panicking
+/// chunk's own payload, after every worker has finished.
+pub fn fan_out<T, R, F>(items: &mut [T], workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let chunk_len = items.len().div_ceil(workers.clamp(1, items.len()));
+    let (first, rest) = items.split_at_mut(chunk_len);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = (1..)
+            .zip(rest.chunks_mut(chunk_len))
+            .map(|(c, chunk)| scope.spawn(move || f(c * chunk_len, chunk)))
+            .collect();
+        let first = f(0, first);
+        let rest = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+        iter::once(first).chain(rest).collect()
+    })
+}
+
+/// Maps `f(index, item)` over `items` on up to `workers` threads through
+/// [`fan_out`], preserving input order.  `f` must be pure per item — with
+/// that, the output is identical at every worker count.
+pub fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    let mut refs: Vec<&T> = items.iter().collect();
+    let chunks: Vec<Vec<U>> = fan_out(&mut refs, workers, |first, chunk| {
+        (first..).zip(chunk).map(|(i, t)| f(i, *t)).collect()
+    });
+    chunks.into_iter().flatten().collect()
+}
 
 /// Name of the environment variable overriding the worker budget.
 pub const WORKERS_ENV: &str = "VVD_WORKERS";
@@ -107,6 +172,103 @@ fn hardware_parallelism() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread;
+
+    #[test]
+    fn fan_out_visits_every_item_once_with_its_index() {
+        for len in 0..=9usize {
+            for workers in [0, 1, 2, 3, 4, len, len + 3] {
+                let mut items = vec![(usize::MAX, 0u32); len];
+                fan_out(&mut items, workers, |first, chunk| {
+                    for (index, (seen, visits)) in (first..).zip(chunk) {
+                        *seen = index;
+                        *visits += 1;
+                    }
+                });
+                let expected: Vec<(usize, u32)> = (0..len).map(|i| (i, 1)).collect();
+                assert_eq!(items, expected, "len {len}, workers {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_contiguous_chunks_in_order() {
+        for len in 1..=9usize {
+            for workers in 1..=len + 2 {
+                let mut items = vec![0u8; len];
+                let chunks = fan_out(&mut items, workers, |first, chunk| (first, chunk.len()));
+                let expected_len = len.div_ceil(workers.min(len));
+                let mut next = 0;
+                for &(first, chunk_len) in &chunks {
+                    assert_eq!(first, next, "len {len}, workers {workers}");
+                    assert!(chunk_len == expected_len || first + chunk_len == len);
+                    next += chunk_len;
+                }
+                assert_eq!(next, len);
+                assert!(chunks.len() <= workers);
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_clamps_workers_to_the_item_count() {
+        let chunk_count = |len: usize, workers: usize| {
+            let mut items = vec![0u8; len];
+            fan_out(&mut items, workers, |_, _| ()).len()
+        };
+        for (len, workers, chunks) in [
+            (0, 0, 0),
+            (0, 1, 0),
+            (0, 5, 0),
+            (1, 0, 1),
+            (1, 1, 1),
+            (1, 5, 1),
+            (6, 0, 1),
+            (6, 1, 1),
+            (6, 6, 6),
+            (6, 64, 6),
+        ] {
+            assert_eq!(
+                chunk_count(len, workers),
+                chunks,
+                "len {len}, workers {workers}"
+            );
+        }
+        // Empty items never reach `f`.
+        fan_out(&mut [0u8; 0], 4, |_, _| panic!("no items to visit"));
+    }
+
+    #[test]
+    fn fan_out_runs_the_first_chunk_on_the_calling_thread() {
+        let caller = thread::current().id();
+        for workers in [1, 3] {
+            let mut items = [0u8; 3];
+            let ids = fan_out(&mut items, workers, |_, _| thread::current().id());
+            assert_eq!(ids[0], caller);
+            assert!(ids[1..].iter().all(|&id| id != caller));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 is poisoned")]
+    fn a_worker_panic_reaches_the_caller_with_its_own_payload() {
+        // Item 5 sits in the third of four chunks: a spawned worker's.
+        par_map(&[0u8; 8], 4, |i, _| {
+            if i == 5 {
+                panic!("item {i} is poisoned");
+            }
+        });
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_at_every_worker_count() {
+        let items: Vec<u64> = (0..11).map(|i| i * i).collect();
+        let expected: Vec<(usize, u64)> = (0..).zip(items.iter().map(|v| v + 1)).collect();
+        for workers in 0..=13 {
+            assert_eq!(par_map(&items, workers, |i, &v| (i, v + 1)), expected);
+        }
+        assert!(par_map(&[0u64; 0], 4, |_, &v| v).is_empty());
+    }
 
     #[test]
     fn budget_is_at_least_one() {

@@ -63,11 +63,13 @@ pub fn decode_with_estimate(
 /// reference supplied by the caller instead of being re-estimated from the
 /// received block.
 ///
-/// The streaming evaluation pipeline computes one preamble estimate per
-/// packet and reuses it across every technique (and for the Eq.-9 MSE
-/// bookkeeping), instead of refitting it inside each technique's decode.
+/// A caller that holds one preamble estimate per packet reuses it across
+/// every technique instead of refitting it inside each technique's decode.
 /// Passing `None` while `cfg.align_phase` is set skips the alignment, which
-/// mirrors an LS fit failure in [`decode_with_estimate`].
+/// mirrors an LS fit failure in [`decode_with_estimate`]; the streaming
+/// evaluation pipeline aligns each estimate itself, once, and decodes it
+/// with `align_phase` off, so the equalizer and the Eq.-9 MSE bookkeeping
+/// see the same filter.
 pub fn decode_with_reference(
     receiver: &Receiver,
     tx: &ModulatedFrame,

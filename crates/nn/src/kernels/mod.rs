@@ -31,8 +31,10 @@
 //!   multiplied an `Inf`/`NaN` suppresses the `NaN` a no-skip kernel
 //!   produces.  Training that reaches non-finite values is broken either
 //!   way, so the kernels do not pay to preserve `NaN` propagation.
-//! * Worker threads only ever write disjoint, contiguous row chunks of the
-//!   output, so the result is bit-identical at any worker count.
+//! * The kernels fan out through [`vvd_dsp::fan_out`], the workspace's one
+//!   thread fan-out: worker threads only ever write disjoint, contiguous
+//!   row blocks of the output, so the result is bit-identical at any
+//!   worker count.
 
 mod conv;
 mod gemm;
@@ -40,52 +42,29 @@ pub mod reference;
 
 pub use conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grad, ConvGeometry};
 pub use gemm::{gemm, gemm_at, gemm_bt};
+use vvd_dsp::{fan_out, worker_budget};
 
-/// Number of workers available to the kernels: the `VVD_WORKERS`
-/// environment variable when set to a positive integer, the hardware
-/// parallelism otherwise.
+/// Runs `f` over contiguous row blocks of the `m × n` row-major buffer `c`,
+/// one [`vvd_dsp::fan_out`] chunk per block.
 ///
-/// This is [`vvd_dsp::workers::worker_budget`] — the single ambient-env
-/// site that owns the worker-budget concern; worker counts never change
-/// any result — chunks are disjoint and per-element accumulation order is
-/// preserved — so the override exists purely to pin the fan-out width,
-/// e.g. for CI's fixed-worker-count matrix.
-pub fn hardware_workers() -> usize {
-    vvd_dsp::workers::worker_budget()
-}
-
-/// Runs `f` over contiguous row chunks of the `m × n` row-major buffer `c`,
-/// fanning the chunks out to [`std::thread::scope`] workers when more than
-/// one chunk is worth spawning.
-///
-/// `f(first_row, rows, chunk)` receives the index of its first row, its row
-/// count and the mutable chunk.  Chunks are disjoint, so the worker count
-/// cannot affect any result; `min_rows` bounds the smallest chunk a worker
-/// is spawned for.
+/// `f(first_row, rows, block)` receives the index of its first row, its row
+/// count and the mutable block.  Blocks are disjoint, so the worker count
+/// cannot affect any result; `min_rows` bounds the smallest block a worker
+/// is spawned for.  An empty buffer (`m` or `n` zero) runs nothing.
 pub(crate) fn run_row_chunks<F>(c: &mut [f32], m: usize, n: usize, min_rows: usize, f: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
-    if m == 0 {
+    if m == 0 || n == 0 {
         return;
     }
-    let workers = hardware_workers().min(m.div_ceil(min_rows.max(1))).max(1);
-    if workers <= 1 {
-        f(0, m, c);
-        return;
-    }
-    let chunk_rows = m.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = c;
-        let mut row = 0usize;
-        while row < m {
-            let rows = chunk_rows.min(m - row);
-            let (head, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let first = row;
-            scope.spawn(move || f(first, rows, head));
-            row += rows;
+    let workers = worker_budget().min(m.div_ceil(min_rows.max(1)));
+    let block_rows = m.div_ceil(workers);
+    // At most `workers` blocks, so every fan-out chunk is one block.
+    let mut blocks: Vec<&mut [f32]> = c.chunks_mut(block_rows * n).collect();
+    fan_out(&mut blocks, workers, |first, blocks| {
+        for (b, block) in (first..).zip(blocks) {
+            f(b * block_rows, block.len() / n, block);
         }
     });
 }
@@ -98,15 +77,16 @@ mod tests {
     fn row_chunks_cover_every_row_exactly_once() {
         let mut c = vec![0.0f32; 7 * 3];
         run_row_chunks(&mut c, 7, 3, 1, |first, rows, chunk| {
-            for r in 0..rows {
-                for v in &chunk[r * 3..(r + 1) * 3] {
+            assert_eq!(chunk.len(), rows * 3);
+            for (row, values) in (first..).zip(chunk.chunks_mut(3)) {
+                for v in values {
                     assert_eq!(*v, 0.0);
+                    *v += 1.0 + row as f32;
                 }
-                let _ = first;
             }
-            chunk.iter_mut().for_each(|v| *v += 1.0);
         });
-        assert!(c.iter().all(|&v| v == 1.0));
+        let expected: Vec<f32> = (0..7).flat_map(|row| [1.0 + row as f32; 3]).collect();
+        assert_eq!(c, expected);
     }
 
     #[test]

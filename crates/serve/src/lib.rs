@@ -17,7 +17,7 @@
 //!   through one shared content-addressed model cache, so same-provenance
 //!   sessions hold `Arc`-clones of a single trained network.
 //! * [`SessionStore`] — owns the [`LinkSession`]s and shards each engine
-//!   phase over `std::thread::scope` workers.
+//!   phase over [`vvd_dsp::fan_out`] workers.
 //! * The **synthesis memo** (`SynthCounters`) — each distinct packet's
 //!   estimator-independent DSP products (waveform regeneration + preamble
 //!   LS) are synthesized once per engine and shared, behind an `Arc`, by

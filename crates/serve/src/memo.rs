@@ -37,8 +37,7 @@
 use crate::session::LinkSession;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use vvd_dsp::{Complex, FirFilter};
-use vvd_testbed::campaign::par_map;
+use vvd_dsp::{par_map, Complex, FirFilter};
 use vvd_testbed::stream::PacketProducts;
 use vvd_testbed::Campaign;
 

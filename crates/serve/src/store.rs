@@ -1,13 +1,13 @@
 //! The sharded session store.
 //!
 //! A [`SessionStore`] owns every [`LinkSession`] of a workload and fans
-//! per-tick work out over `std::thread::scope` workers: sessions are split
-//! into `shards` contiguous chunks, each worker owns its chunk mutably for
-//! the duration of one phase, and no two phases overlap.  Sessions never
-//! share mutable state (trained networks are behind `Arc`s and predicted
-//! through `&self`), so the shard count is invisible in every result — the
-//! property the golden and property-based serve tests pin down at shard
-//! counts 1, 2 and 8.
+//! per-tick work out through [`vvd_dsp::fan_out`], the workspace's one
+//! thread fan-out: sessions are split into `shards` contiguous chunks, each
+//! worker owns its chunk mutably for the duration of one phase, and no two
+//! phases overlap.  Sessions never share mutable state (trained networks
+//! are behind `Arc`s and predicted through `&self`), so the shard count is
+//! invisible in every result — the property the golden and property-based
+//! serve tests pin down at shard counts 1, 2 and 8.
 
 use crate::session::LinkSession;
 
@@ -64,7 +64,7 @@ impl SessionStore {
     }
 
     /// Runs `f` over every session, fanning contiguous chunks out over up
-    /// to `shards` scoped worker threads.
+    /// to `shards` threads through [`vvd_dsp::fan_out`].
     ///
     /// `f` must be pure per session (it may freely mutate *its* session) —
     /// with that, the shard count cannot change any result: each session
@@ -73,30 +73,8 @@ impl SessionStore {
     where
         F: Fn(&mut LinkSession) + Sync,
     {
-        let shards = shards.max(1).min(self.sessions.len().max(1));
-        if shards <= 1 {
-            for session in &mut self.sessions {
-                f(session);
-            }
-            return;
-        }
-        let chunk_size = self.sessions.len().div_ceil(shards);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = self
-                .sessions
-                .chunks_mut(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        for session in chunk {
-                            f(session);
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("serve shard worker panicked");
-            }
+        vvd_dsp::fan_out(&mut self.sessions, shards, |_, chunk| {
+            chunk.iter_mut().for_each(&f)
         });
     }
 }

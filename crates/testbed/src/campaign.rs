@@ -27,7 +27,7 @@
 //! rendering, waveform modulation, channel application, LS estimation,
 //! synchronisation — is embarrassingly parallel across frames and packets
 //! (each packet's receiver noise comes from its own seeded RNG) and fans
-//! out over `std::thread::scope` workers; its outputs are identical at any
+//! out through [`vvd_dsp::par_map`]; its outputs are identical at any
 //! worker count.
 //!
 //! Neither synthesis stage redoes immutable work.  The blocker-free room is
@@ -44,7 +44,7 @@ use rand::SeedableRng;
 use vvd_channel::noise::{component_std_for_noise_power, noise_power_for_snr};
 use vvd_channel::scenario::{PacketChannel, PaperScenario, ScenarioRegistry, SpecParseError};
 use vvd_channel::{apply_channel, ChannelRealization, ChannelScenario, Room};
-use vvd_dsp::{CVec, Complex, FirFilter};
+use vvd_dsp::{par_map, CVec, Complex, FirFilter};
 use vvd_estimation::ls::perfect_estimate;
 use vvd_phy::{modulate_frame, ModulatedFrame, PsduBuilder, Receiver};
 use vvd_vision::scene::{Aabb, Plane, Scene, Vec3, VerticalCylinder};
@@ -370,44 +370,6 @@ impl Campaign {
     pub fn total_packets(&self) -> usize {
         self.sets.iter().map(|s| s.packets.len()).sum::<usize>()
     }
-}
-
-/// Maps `f` over `items` on up to `workers` scoped threads, preserving
-/// input order.  `f` must be pure per item — with that, the output is
-/// identical at every worker count.  Campaign generation and the serve
-/// engine's synthesis memo fan waveform synthesis out through it, the
-/// evaluation its combinations and the scenario sweep its scenarios.
-pub fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk_size = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(c, chunk)| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(c * chunk_size + i, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    })
 }
 
 /// Element-wise linear interpolation of the blocker positions at an

@@ -13,7 +13,7 @@
 //! such as `"kalman:ar=7"` or `"fallback:preamble,vvd:current"`
 //! ([`evaluate_specs`]), so new scenarios need zero harness edits.
 
-use crate::campaign::{par_map, Campaign};
+use crate::campaign::Campaign;
 use crate::combinations::{combinations_for, SetCombination};
 use crate::stream::{
     nominal_energy, stream_estimators, training_cirs, CombinationDatasets, EstimatorTrace,
@@ -21,6 +21,7 @@ use crate::stream::{
 };
 use std::collections::BTreeMap;
 use vvd_core::{VvdDataset, VvdSample, VvdTrainingReport, VvdVariant};
+use vvd_dsp::par_map;
 use vvd_dsp::stats::BoxStats;
 use vvd_estimation::estimator::VvdModelPool;
 use vvd_estimation::metrics::{chip_error_rate, mean_squared_error, packet_error_rate};

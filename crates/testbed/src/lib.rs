@@ -20,7 +20,7 @@
 //!   string (`"paper"`, `"room:large,humans=4,speed=1.5"`,
 //!   `"rician:k=6,doppler=30"`, overlays like `"paper+burst-noise:p=0.01"`),
 //!   with frame rendering and per-packet waveform synthesis batched across
-//!   `std::thread::scope` workers,
+//!   [`vvd_dsp::par_map`] workers,
 //! * [`combinations`] — Table 2 (the 15 set combinations) plus generated
 //!   equivalents for reduced campaign sizes,
 //! * [`stream`] — the generic streaming core that fits boxed

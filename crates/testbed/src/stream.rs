@@ -9,11 +9,12 @@
 //! estimator — registered by spec string, any AR order, any fallback
 //! chain — runs through every experiment without harness edits.
 //!
-//! Estimators are independent by construction (no shared state after
-//! fitting), so the streaming phase optionally fans out over worker threads
-//! with [`std::thread::scope`]; the per-estimator arithmetic is identical
-//! either way, which makes the parallel results bit-identical to the
-//! sequential ones.
+//! The streaming phase is one packet loop: each packet's products are
+//! synthesized once and shared by every estimator.  Estimators are
+//! independent by construction (no shared state after fitting), so each
+//! packet's steps optionally fan out over [`vvd_dsp::fan_out`] workers; the
+//! per-estimator arithmetic is identical either way, which makes the
+//! parallel results bit-identical to the sequential ones.
 //!
 //! The per-session serving pipeline in `vvd-serve` decodes every packet
 //! through the same [`step_packet`], over products of the same
@@ -34,7 +35,7 @@
 //! the cache afterwards ([`run_scenario_sweep_report`] returns the
 //! hit/miss accounting alongside the outcomes).
 
-use crate::campaign::{par_map, Campaign, MeasurementSet, PacketRecord};
+use crate::campaign::{Campaign, MeasurementSet, PacketRecord};
 use crate::combinations::{combinations_for, SetCombination};
 use crate::evaluate::{
     evaluate_specs_with_cache, CombinationResult, EvalOptions, EvaluationSummary,
@@ -42,7 +43,7 @@ use crate::evaluate::{
 use std::fmt;
 use vvd_channel::scenario::{ScenarioRegistry, SpecParseError};
 use vvd_core::VvdVariant;
-use vvd_dsp::{CVec, FirFilter};
+use vvd_dsp::{fan_out, par_map, CVec, FirFilter};
 use vvd_estimation::decode::decode_with_reference;
 use vvd_estimation::estimator::{
     BoxedEstimator, ChannelEstimator, Estimate, EstimateRequest, FrameSource, PacketObservation,
@@ -327,22 +328,18 @@ pub fn step_packet(
                 Some(receiver.decode_standard(&received.as_slice()[offset..], tx))
             }
             Estimate::Ready { cir, align_phase } => {
-                let config = EqualizerConfig {
-                    align_phase: align_phase && cfg.equalizer.align_phase,
-                    ..cfg.equalizer
-                };
-                let outcome = decode_with_reference(
-                    &receiver,
-                    tx,
-                    received.as_slice(),
-                    &cir,
-                    preamble_est,
-                    &config,
-                );
-                let used = match (config.align_phase, preamble_est) {
+                // Aligned once, here: the decode equalizes exactly the
+                // estimate the Eq.-9 MSE pair records.
+                let used = match (align_phase && cfg.equalizer.align_phase, preamble_est) {
                     (true, Some(reference)) => align_mean_phase(&cir, reference).0,
                     _ => cir,
                 };
+                let config = EqualizerConfig {
+                    align_phase: false,
+                    ..cfg.equalizer
+                };
+                let outcome =
+                    decode_with_reference(&receiver, tx, received.as_slice(), &used, None, &config);
                 trace.estimates.push(used);
                 trace.truths.push(record.perfect_cir.clone());
                 Some(outcome)
@@ -372,10 +369,13 @@ pub fn step_packet(
 ///
 /// Fitting is sequential — expensive artefacts are shared through the
 /// caller's `pool`, and the pool trains each variant deterministically on
-/// first use.  The streaming phase runs per-estimator and, with
-/// [`StreamOptions::parallel`], fans contiguous chunks of estimators out to
-/// `std::thread::scope` workers; every worker only touches its own
-/// estimators, so scheduling cannot affect the results.
+/// first use.  Streaming is one packet loop: each packet's products are
+/// synthesized once — when the packet is scored or some estimator wants
+/// preamble observations — and every estimator steps through them with
+/// [`step_packet`].  With [`StreamOptions::parallel`] each packet's steps
+/// fan out over contiguous chunks of estimators through
+/// [`vvd_dsp::fan_out`]; every worker only touches its own estimators, so
+/// scheduling cannot affect the results.
 pub fn stream_estimators(
     campaign: &Campaign,
     combination: &SetCombination,
@@ -392,55 +392,18 @@ pub fn stream_estimators(
 
     // --- Streaming phase ------------------------------------------------
     let workers = if options.parallel {
-        vvd_dsp::worker_budget().min(estimators.len().max(1))
+        vvd_dsp::worker_budget()
     } else {
         1
     };
-
-    if workers <= 1 {
-        return stream_chunk(campaign, combination, estimators, options);
-    }
-
-    // Deterministic contiguous chunks; traces are re-assembled in input
-    // order, so the grouping is invisible in the results.
-    let chunk_size = estimators.len().div_ceil(workers);
-    let mut chunks: Vec<Vec<LabeledEstimator>> = Vec::new();
-    let mut rest = estimators;
-    while !rest.is_empty() {
-        let tail = rest.split_off(rest.len().min(chunk_size));
-        chunks.push(rest);
-        rest = tail;
-    }
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || stream_chunk(campaign, combination, chunk, options)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("streaming worker panicked"))
-            .collect()
-    })
-}
-
-/// Streams the full test set through a chunk of estimators: each packet's
-/// products are synthesized once — when the packet is scored or some
-/// estimator of the chunk wants preamble observations — and every
-/// estimator steps through it with [`step_packet`].
-fn stream_chunk(
-    campaign: &Campaign,
-    combination: &SetCombination,
-    chunk: Vec<LabeledEstimator>,
-    options: &StreamOptions,
-) -> Vec<EstimatorTrace> {
-    let set = combination.test;
-    let (mut traces, mut estimators): (Vec<EstimatorTrace>, Vec<BoxedEstimator>) = chunk
+    let any_wants_preamble = estimators
+        .iter()
+        .any(|labeled| labeled.estimator.wants_preamble_observations());
+    let mut steps: Vec<(BoxedEstimator, EstimatorTrace)> = estimators
         .into_iter()
-        .map(|labeled| (EstimatorTrace::new(labeled.label), labeled.estimator))
-        .unzip();
-    let any_wants_preamble = estimators.iter().any(|e| e.wants_preamble_observations());
-
+        .map(|labeled| (labeled.estimator, EstimatorTrace::new(labeled.label)))
+        .collect();
+    let set = combination.test;
     for (index, record) in campaign.set(set).packets.iter().enumerate() {
         let score = index >= options.score_from;
         let products = (score || any_wants_preamble)
@@ -452,11 +415,13 @@ fn stream_chunk(
             score,
             products: products.as_ref(),
         };
-        for (estimator, trace) in estimators.iter_mut().zip(&mut traces) {
-            step_packet(estimator.as_mut(), trace, &packet, None);
-        }
+        fan_out(&mut steps, workers, |_, steps| {
+            for (estimator, trace) in steps {
+                step_packet(estimator.as_mut(), trace, &packet, None);
+            }
+        });
     }
-    traces
+    steps.into_iter().map(|(_, trace)| trace).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -659,7 +624,8 @@ fn evaluate_scenario(
 mod tests {
     use super::*;
     use crate::config::EvalConfig;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
+    use std::sync::{Arc, Mutex};
     use vvd_estimation::estimator::{GroundTruth, Previous, Standard};
 
     fn smoke() -> (Campaign, SetCombination) {
@@ -727,6 +693,48 @@ mod tests {
                 assert_eq!(a.taps(), b.taps());
             }
         }
+    }
+
+    /// Records, per packet, where the preamble estimate it is shown lives.
+    struct ProductsRecorder {
+        seen: Arc<Mutex<BTreeMap<usize, BTreeSet<usize>>>>,
+    }
+
+    impl ChannelEstimator for ProductsRecorder {
+        fn estimate(&mut self, req: &EstimateRequest<'_>) -> Estimate {
+            let preamble = req.preamble_estimate.expect("the LS fit succeeds");
+            let address = preamble as *const FirFilter as usize;
+            let mut seen = self.seen.lock().expect("no recorder panics");
+            seen.entry(req.packet_index).or_default().insert(address);
+            Estimate::Skip
+        }
+    }
+
+    #[test]
+    fn every_estimator_steps_through_one_synthesis_per_packet() {
+        // Estimators in different worker chunks still share each packet's
+        // products: one synthesis, one address, per packet.
+        let (campaign, combo) = smoke();
+        let cirs = training_cirs(&campaign, &combo);
+        let source = CombinationDatasets::new(&campaign, &combo);
+        let pool = VvdModelPool::new(&campaign.config.vvd, &source);
+        let seen = Arc::default();
+        let estimators = (0..4)
+            .map(|k| {
+                let recorder = ProductsRecorder {
+                    seen: Arc::clone(&seen),
+                };
+                LabeledEstimator::new(format!("recorder {k}"), Box::new(recorder))
+            })
+            .collect();
+        let options = StreamOptions {
+            score_from: 0,
+            parallel: true,
+        };
+        stream_estimators(&campaign, &combo, estimators, &cirs, &pool, &options);
+        let seen = seen.lock().expect("no recorder panics");
+        assert_eq!(seen.len(), campaign.config.packets_per_set);
+        assert!(seen.values().all(|addresses| addresses.len() == 1));
     }
 
     /// An estimator that answers a fixed script and records what the step
