@@ -86,6 +86,42 @@ fn dsp_fan_out_is_the_only_thread_scope() {
 }
 
 #[test]
+fn nn_parallelism_lives_in_the_model_passes() {
+    // vvd-nn fans out once per model pass, over sample shards: no kernel
+    // or layer calls the fan-out or sizes one.  Scanned tokens, so
+    // comments, strings and test regions do not count.
+    let root = workspace_root();
+    let (mut scanned, mut files) = (0, BTreeSet::new());
+    for rel in scan_set(&root).expect("workspace sources are readable") {
+        let path = rel.display().to_string();
+        if !(path.starts_with("crates/nn/src/kernels") || path.starts_with("crates/nn/src/layers"))
+        {
+            continue;
+        }
+        scanned += 1;
+        let source = std::fs::read_to_string(root.join(&rel)).expect("source is readable");
+        let unit = scan(&source);
+        let toks = &unit.tokens;
+        let calls = (0..toks.len().saturating_sub(1)).any(|i| {
+            !unit.in_test[i]
+                && matches!(toks[i].ident(), Some("fan_out" | "worker_budget"))
+                && toks[i + 1].is_punct('(')
+        });
+        if calls {
+            files.insert(path);
+        }
+    }
+    assert!(
+        scanned >= 10,
+        "only {scanned} nn kernel and layer files scanned"
+    );
+    assert!(
+        files.is_empty(),
+        "fan_out( or worker_budget( in nn kernels or layers: {files:?}"
+    );
+}
+
+#[test]
 fn binary_exits_zero_on_clean_workspace_and_emits_json() {
     let out = Command::new(env!("CARGO_BIN_EXE_vvd-analyze"))
         .args(["--root"])

@@ -1,20 +1,22 @@
-//! Criterion micro-benchmarks of the vvd-nn compute core: batched forward
-//! and backward passes through the Fig.-8 CNN, one full training epoch, and
-//! the trained-model cache's hit-versus-miss cost.
+//! Criterion micro-benchmarks of the vvd-nn compute core: batched
+//! inference and a few training steps through the Fig.-8 CNN, one full
+//! training epoch, and the trained-model cache's hit-versus-miss cost.
 //!
-//! The forward/backward targets exercise the direct convolution kernels
-//! and the dense layers' GEMMs on the quick-preset architecture; the cache
+//! The inference and training targets exercise the sample-sharded
+//! model passes (direct convolution kernels per shard, the dense layers'
+//! GEMMs on the calling thread) on the quick-preset architecture; the cache
 //! targets show what a content-addressed hit saves relative to retraining
 //! the same provenance.
 //!
-//! Before the criterion targets the binary times the kernel passes the
-//! workloads run, best of several repetitions each: every quick-preset
-//! convolution layer's forward, input-gradient and weight-gradient pass on
-//! a 16-image training batch (the first layer's input gradient is never
-//! computed, see `Layer::backward_head`), and the dense layer's forward
-//! GEMM over 90 validation images.  Set `VVD_BENCH_JSON=<path>` to write
-//! those timings as a JSON snapshot (`BENCH_nn.json` at the repo root is
-//! the committed reference of the tiny preset).
+//! Before the criterion targets the binary times the passes the workloads
+//! run, best of several repetitions each: every quick-preset convolution
+//! layer's forward, input-gradient and weight-gradient kernel on a
+//! 16-image training batch (the first layer's input gradient is never
+//! computed, see `Layer::backward_head`), the dense layer's forward GEMM
+//! over 90 validation images, and one whole training step on a 16-image
+//! batch.  Set `VVD_BENCH_JSON=<path>` to write those timings as a JSON
+//! snapshot (`BENCH_nn.json` at the repo root is the committed reference
+//! of the tiny preset).
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
@@ -23,9 +25,8 @@ use vvd_core::{build_vvd_cnn, ModelKey, VvdConfig, VvdDataset, VvdModel, VvdSamp
 use vvd_dsp::{Complex, FirFilter};
 use vvd_estimation::ModelCache;
 use vvd_nn::kernels::{
-    conv2d_forward, conv2d_input_grad, conv2d_weight_grad, gemm_bt, ConvGeometry,
+    conv2d_forward, conv2d_input_grad, conv2d_weight_partials, gemm_bt, ConvGeometry,
 };
-use vvd_nn::loss::mse;
 use vvd_nn::{Nadam, Tensor, TrainConfig, Trainer};
 use vvd_vision::DepthImage;
 
@@ -37,25 +38,43 @@ fn batch(n: usize, h: usize, w: usize) -> Tensor {
     Tensor::from_vec(&[n, 1, h, w], data)
 }
 
-fn bench_forward_backward(c: &mut Criterion) {
+fn bench_forward_and_step(c: &mut Criterion) {
     let cfg = VvdConfig::quick();
     let mut rng = StdRng::seed_from_u64(7);
     let mut model = build_vvd_cnn(50, 90, &cfg, &mut rng);
-    let x = batch(16, 50, 90);
+    let x = batch(CONV_BATCH, 50, 90);
 
     c.bench_function("nn/forward_batch16_quick_arch", |b| {
         b.iter(|| model.infer(&x))
     });
 
-    let y = model.forward(&x, true);
-    let target = Tensor::zeros(y.shape());
-    let (_, grad) = mse(&y, &target);
-    c.bench_function("nn/backward_batch16_quick_arch", |b| {
-        b.iter(|| {
-            model.zero_grad();
-            model.backward(&grad)
-        })
+    let (trainer, y, no_x, no_y) = one_step_fit(&cfg, 50, 90);
+    let mut optimizer = Nadam::new(cfg.learning_rate, cfg.lr_decay);
+    let name = format!("nn/fit_{STEP_EPOCHS}_steps_batch16_quick_arch");
+    c.bench_function(&name, |b| {
+        b.iter(|| trainer.fit(&mut model, &mut optimizer, &x, &y, &no_x, &no_y))
     });
+}
+
+/// A trainer whose fit over a [`CONV_BATCH`]-image set is one training
+/// step per epoch ([`STEP_EPOCHS`] of them, no validation), its targets,
+/// and the empty validation set.
+fn one_step_fit(cfg: &VvdConfig, h: usize, w: usize) -> (Trainer, Tensor, Tensor, Tensor) {
+    let trainer = Trainer::new(TrainConfig {
+        epochs: STEP_EPOCHS,
+        batch_size: CONV_BATCH,
+        shuffle_seed: 0,
+        keep_best_validation_epoch: false,
+    });
+    let targets: Vec<f32> = (0..CONV_BATCH * cfg.output_units())
+        .map(|i| (i as f32 * 0.1).cos())
+        .collect();
+    (
+        trainer,
+        Tensor::from_vec(&[CONV_BATCH, cfg.output_units()], targets),
+        Tensor::zeros(&[0, 1, h, w]),
+        Tensor::zeros(&[0, cfg.output_units()]),
+    )
 }
 
 fn bench_train_epoch(c: &mut Criterion) {
@@ -155,6 +174,10 @@ const REPS: usize = 15;
 /// Training mini-batch of the quick preset.
 const CONV_BATCH: usize = 16;
 
+/// Training steps per timed fit of the training-step row: the fit's
+/// one-off buffer sizing is spread over this many steps.
+const STEP_EPOCHS: usize = 8;
+
 /// The dense GEMM the workloads run, `(m, k, n)`: the first dense layer's
 /// forward pass over 90 validation images at the quick preset.
 const DENSE_BT: (usize, usize, usize) = (90, 288, 64);
@@ -182,8 +205,9 @@ fn operand(len: usize, step: f32) -> Vec<f32> {
     (0..len).map(|i| ((i as f32) * step).sin()).collect()
 }
 
-/// Best-of-[`REPS`] times of the quick preset's convolution passes and
-/// its dense GEMM.
+/// Best-of-[`REPS`] times of the quick preset's convolution kernels (one
+/// thread, whole batch, into reused buffers), its dense GEMM and one
+/// training step.
 fn pass_timings() -> Vec<PassTiming> {
     let cfg = VvdConfig::quick();
     let (filters, n) = (cfg.conv_filters, CONV_BATCH);
@@ -197,7 +221,9 @@ fn pass_timings() -> Vec<PassTiming> {
         let bias = operand(filters, 0.41);
         let g = operand(n * filters * oh * ow, 0.07);
         let shape = format!("{n}x{channels}x{h}x{w} * {filters}x{channels}x3x3");
-        let mut grad = vec![0.0f32; filters * geometry.patch()];
+        let mut out = vec![0.0f32; n * filters * oh * ow];
+        let mut dx = vec![0.0f32; n * geometry.item_len()];
+        let mut partials = vec![0.0f32; n * filters * geometry.patch()];
         let mut time = |pass: &str, best_ms| {
             rows.push(PassTiming {
                 pass: format!("conv{layer} {pass}"),
@@ -207,17 +233,17 @@ fn pass_timings() -> Vec<PassTiming> {
         };
         time(
             "forward",
-            best_ms(|| conv2d_forward(&x, n, &geometry, &weight, &bias, filters)),
+            best_ms(|| conv2d_forward(&x, n, &geometry, &weight, &bias, filters, &mut out)),
         );
         if layer > 1 {
             time(
                 "input_grad",
-                best_ms(|| conv2d_input_grad(&g, n, &geometry, &weight, filters)),
+                best_ms(|| conv2d_input_grad(&g, n, &geometry, &weight, filters, &mut dx)),
             );
         }
         time(
             "weight_grad",
-            best_ms(|| conv2d_weight_grad(&x, &g, n, &geometry, filters, &mut grad)),
+            best_ms(|| conv2d_weight_partials(&x, &g, n, &geometry, filters, &mut partials)),
         );
         (channels, h, w) = (filters, oh / 2, ow / 2);
     }
@@ -227,6 +253,16 @@ fn pass_timings() -> Vec<PassTiming> {
         pass: "dense gemm_bt".to_string(),
         shape: format!("{m}x{k}x{dn}"),
         best_ms: best_ms(|| gemm_bt(&a, &b, m, k, dn)),
+    });
+    let mut model = build_vvd_cnn(50, 90, &cfg, &mut StdRng::seed_from_u64(7));
+    let mut optimizer = Nadam::new(cfg.learning_rate, cfg.lr_decay);
+    let x = batch(n, 50, 90);
+    let (trainer, y, no_x, no_y) = one_step_fit(&cfg, 50, 90);
+    let fit = best_ms(|| trainer.fit(&mut model, &mut optimizer, &x, &y, &no_x, &no_y));
+    rows.push(PassTiming {
+        pass: "train step".to_string(),
+        shape: format!("{n}x1x50x90 quick CNN, {} shards", vvd_dsp::worker_budget()),
+        best_ms: fit / STEP_EPOCHS as f64,
     });
     for r in &rows {
         println!(
@@ -270,7 +306,7 @@ fn write_snapshot(rows: &[PassTiming]) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_forward_backward, bench_train_epoch, bench_model_cache
+    targets = bench_forward_and_step, bench_train_epoch, bench_model_cache
 }
 
 fn main() {

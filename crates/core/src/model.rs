@@ -20,9 +20,10 @@ use vvd_nn::serialize::ModelCheckpoint;
 use vvd_nn::{Nadam, Sequential, Tensor, TrainConfig, Trainer};
 use vvd_vision::DepthImage;
 
-/// Images per inference chunk of [`VvdModel::predict_batch`]: large enough
-/// that the convolution runs as one batched GEMM, small enough to keep the
-/// column matrices cache-friendly.
+/// Images per inference chunk of [`VvdModel::predict_batch`]: each chunk is
+/// one sharded network pass, so the chunk bounds the activation buffers
+/// that pass allocates (about 0.22 MiB per image with the quick preset's
+/// 8 filters).
 const PREDICT_CHUNK: usize = 32;
 
 /// Summary of a VVD training run.
@@ -205,8 +206,9 @@ impl VvdModel {
     }
 
     /// Predicts CIRs for a batch of images, chunking them into batched
-    /// network passes (each chunk's convolution is one GEMM).  Bit-identical
-    /// to calling [`VvdModel::predict_cir`] per image.
+    /// network passes (each chunk's samples split over the worker shards of
+    /// one pass).  Bit-identical to calling [`VvdModel::predict_cir`] per
+    /// image.
     ///
     /// # Panics
     /// Panics if any image's dimensions differ from the training images.

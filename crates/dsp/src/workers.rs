@@ -35,6 +35,7 @@
 
 use std::iter;
 use std::panic::resume_unwind;
+use std::sync::OnceLock;
 
 /// Runs `f` over contiguous chunks of `items` on up to `workers` threads
 /// and returns the per-chunk results in chunk order.
@@ -115,6 +116,8 @@ fn explicit_workers() -> Option<usize> {
 /// The number of worker threads parallel fan-outs should size themselves
 /// for: `VVD_WORKERS` when set to a positive integer, the available
 /// hardware parallelism otherwise (1 when even that is unknown).
+///
+/// `VVD_WORKERS` is read on every call; the hardware count is read once.
 pub fn worker_budget() -> usize {
     explicit_workers().unwrap_or_else(hardware_parallelism)
 }
@@ -163,10 +166,17 @@ pub fn checkpoint_interval() -> Option<u64> {
         .filter(|&n| n >= 1)
 }
 
+/// The hardware parallelism, read once per process: on Linux
+/// [`std::thread::available_parallelism`] re-reads the cgroup quota files
+/// on every call, and the machine's core count does not change under a
+/// running process.
 fn hardware_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]

@@ -19,11 +19,10 @@
 //!   in row-major order from `+0.0`; the per-sample partials are added into
 //!   the gradient in sample order.
 //!
-//! Every pass fans out once, over disjoint output items, through
-//! [`run_row_chunks`]; the weight gradient's items are the per-sample
-//! partials, reduced on the calling thread afterwards.
-
-use super::run_row_chunks;
+//! Every kernel runs on the calling thread and writes a caller-provided
+//! buffer, so a model pass can reuse its buffers from step to step.  Only
+//! the input gradient and the weight partials accumulate, so only they
+//! zero their buffer first; the forward pass writes every element.
 
 /// Geometry of a square-kernel, stride-1, valid-padding convolution: the
 /// one shape computation every convolution kernel, reference and layer
@@ -130,9 +129,9 @@ fn window<const L: usize>(row: &[f32], start: usize) -> &[f32; L] {
         .expect("a lane window is exactly L long")
 }
 
-/// Batched forward pass: `[N, C, H, W]` input to `[N, out_channels, oh,
-/// ow]` output.  `weight` is `(out_channels × patch)` with patch index
-/// `(c·k + ky)·k + kx`.
+/// Batched forward pass: `[N, C, H, W]` input to the `[N, out_channels,
+/// oh, ow]` output `out`, every element of which it writes.  `weight` is
+/// `(out_channels × patch)` with patch index `(c·k + ky)·k + kx`.
 ///
 /// Bit-identical to [`super::reference::conv2d_direct`] on every item.
 pub fn conv2d_forward(
@@ -142,34 +141,30 @@ pub fn conv2d_forward(
     weight: &[f32],
     bias: &[f32],
     out_channels: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     let g = *geometry;
     let (oh, ow) = g.output_hw();
     assert_eq!(input.len(), n * g.item_len(), "conv input size");
     assert_eq!(weight.len(), out_channels * g.patch(), "conv weight size");
     assert_eq!(bias.len(), out_channels, "conv bias size");
     let out_len = out_channels * oh * ow;
-    let mut out = vec![0.0f32; n * out_len];
-    if out_len == 0 {
-        return out;
-    }
-    run_row_chunks(&mut out, n, out_len, 1, |first, _rows, chunk| {
-        for (r, out) in chunk.chunks_mut(out_len).enumerate() {
-            let x = &input[(first + r) * g.item_len()..][..g.item_len()];
-            for oy in 0..oh {
-                let mut row = ForwardRow {
-                    g,
-                    x,
-                    weight,
-                    bias,
-                    oy,
-                    out: &mut *out,
-                };
-                cover(out_channels, ow, &mut row);
-            }
+    assert_eq!(out.len(), n * out_len, "conv output size");
+    for i in 0..n {
+        let x = &input[i * g.item_len()..][..g.item_len()];
+        let out = &mut out[i * out_len..][..out_len];
+        for oy in 0..oh {
+            let mut row = ForwardRow {
+                g,
+                x,
+                weight,
+                bias,
+                oy,
+                out: &mut *out,
+            };
+            cover(out_channels, ow, &mut row);
         }
-    });
-    out
+    }
 }
 
 /// Output row `oy` of one item: blocks are output channels, lanes output
@@ -217,7 +212,7 @@ impl Tiles for ForwardRow<'_> {
 }
 
 /// Batched input gradient: `[N, out_channels, oh, ow]` output gradient to
-/// the `[N, C, H, W]` input gradient.
+/// the `[N, C, H, W]` input gradient `grad_input`, which it zeroes first.
 ///
 /// Bit-identical to [`super::reference::conv2d_input_grad`] on every item.
 pub fn conv2d_input_grad(
@@ -226,42 +221,39 @@ pub fn conv2d_input_grad(
     geometry: &ConvGeometry,
     weight: &[f32],
     out_channels: usize,
-) -> Vec<f32> {
+    grad_input: &mut [f32],
+) {
     let g = *geometry;
     let (oh, ow) = g.output_hw();
     let g_len = out_channels * oh * ow;
     assert_eq!(grad_output.len(), n * g_len, "conv gradient size");
     assert_eq!(weight.len(), out_channels * g.patch(), "conv weight size");
     let item_len = g.item_len();
-    let mut grad_input = vec![0.0f32; n * item_len];
-    if item_len == 0 {
-        return grad_input;
-    }
-    run_row_chunks(&mut grad_input, n, item_len, 1, |first, _rows, chunk| {
-        for (r, dx) in chunk.chunks_mut(item_len).enumerate() {
-            let gy = &grad_output[(first + r) * g_len..][..g_len];
-            // Input row y takes its (ky, kx) terms in ascending order: each
-            // pass adds one term to every element of the row.
-            for y in 0..g.height {
-                for ky in (0..g.kernel).filter(|&ky| y >= ky && y - ky < oh) {
-                    for kx in 0..g.kernel {
-                        let mut row = InputGradRow {
-                            g,
-                            gy,
-                            weight,
-                            out_channels,
-                            y,
-                            ky,
-                            kx,
-                            dx: &mut *dx,
-                        };
-                        cover(g.in_channels, ow, &mut row);
-                    }
+    assert_eq!(grad_input.len(), n * item_len, "conv input gradient size");
+    grad_input.fill(0.0);
+    for i in 0..n {
+        let gy = &grad_output[i * g_len..][..g_len];
+        let dx = &mut grad_input[i * item_len..][..item_len];
+        // Input row y takes its (ky, kx) terms in ascending order: each
+        // pass adds one term to every element of the row.
+        for y in 0..g.height {
+            for ky in (0..g.kernel).filter(|&ky| y >= ky && y - ky < oh) {
+                for kx in 0..g.kernel {
+                    let mut row = InputGradRow {
+                        g,
+                        gy,
+                        weight,
+                        out_channels,
+                        y,
+                        ky,
+                        kx,
+                        dx: &mut *dx,
+                    };
+                    cover(g.in_channels, ow, &mut row);
                 }
             }
         }
-    });
-    grad_input
+    }
 }
 
 /// The `(ky, kx)` term of input row `y` of one item: blocks are input
@@ -303,8 +295,47 @@ impl Tiles for InputGradRow<'_> {
     }
 }
 
-/// Batched weight gradient: adds each sample's partial `gᵢ ⋆ xᵢ` into
-/// `grad` (`out_channels × patch`), in sample order.
+/// Per-sample weight-gradient partials: writes sample `i`'s `gᵢ ⋆ xᵢ`
+/// (`out_channels × patch`, each element summed from `+0.0`) to the `i`-th
+/// block of `partials`, which it zeroes first.  The batch's weight
+/// gradient is these partials added up in sample order.
+pub fn conv2d_weight_partials(
+    input: &[f32],
+    grad_output: &[f32],
+    n: usize,
+    geometry: &ConvGeometry,
+    out_channels: usize,
+    partials: &mut [f32],
+) {
+    let g = *geometry;
+    let (oh, ow) = g.output_hw();
+    let g_len = out_channels * oh * ow;
+    let partial_len = out_channels * g.patch();
+    assert_eq!(input.len(), n * g.item_len(), "conv input size");
+    assert_eq!(grad_output.len(), n * g_len, "conv gradient size");
+    assert_eq!(partials.len(), n * partial_len, "conv weight partials size");
+    partials.fill(0.0);
+    for i in 0..n {
+        let partial = &mut partials[i * partial_len..][..partial_len];
+        // Rows outermost: each element's sum runs over (oy, ox) in
+        // row-major order, its accumulator parked in `partial` between
+        // rows.
+        for oy in 0..oh {
+            let mut row = WeightGradRow {
+                g,
+                x: &input[i * g.item_len()..][..g.item_len()],
+                gy: &grad_output[i * g_len..][..g_len],
+                oy,
+                partial: &mut *partial,
+            };
+            cover(g.patch(), out_channels, &mut row);
+        }
+    }
+}
+
+/// Batched weight gradient: adds each sample's partial `gᵢ ⋆ xᵢ` (see
+/// [`conv2d_weight_partials`]) into `grad` (`out_channels × patch`), in
+/// sample order.
 ///
 /// Bit-identical to [`super::reference::conv2d_weight_grad`].
 pub fn conv2d_weight_grad(
@@ -315,35 +346,13 @@ pub fn conv2d_weight_grad(
     out_channels: usize,
     grad: &mut [f32],
 ) {
-    let g = *geometry;
-    let (oh, ow) = g.output_hw();
-    let g_len = out_channels * oh * ow;
-    let partial_len = out_channels * g.patch();
-    assert_eq!(input.len(), n * g.item_len(), "conv input size");
-    assert_eq!(grad_output.len(), n * g_len, "conv gradient size");
+    let partial_len = out_channels * geometry.patch();
     assert_eq!(grad.len(), partial_len, "conv weight gradient size");
+    let mut partials = vec![0.0f32; n * partial_len];
+    conv2d_weight_partials(input, grad_output, n, geometry, out_channels, &mut partials);
     if partial_len == 0 {
         return;
     }
-    let mut partials = vec![0.0f32; n * partial_len];
-    run_row_chunks(&mut partials, n, partial_len, 1, |first, _rows, chunk| {
-        for (r, partial) in chunk.chunks_mut(partial_len).enumerate() {
-            let i = first + r;
-            // Rows outermost: each element's sum runs over (oy, ox) in
-            // row-major order, its accumulator parked in `partial` between
-            // rows.
-            for oy in 0..oh {
-                let mut row = WeightGradRow {
-                    g,
-                    x: &input[i * g.item_len()..][..g.item_len()],
-                    gy: &grad_output[i * g_len..][..g_len],
-                    oy,
-                    partial: &mut *partial,
-                };
-                cover(g.patch(), out_channels, &mut row);
-            }
-        }
-    });
     for partial in partials.chunks(partial_len) {
         for (acc, &v) in grad.iter_mut().zip(partial) {
             *acc += v;
@@ -404,6 +413,19 @@ mod tests {
         (0..len).map(|i| (i as f32 * 0.37 + seed).sin()).collect()
     }
 
+    fn forward(x: &[f32], n: usize, g: &ConvGeometry, weight: &[f32], bias: &[f32]) -> Vec<f32> {
+        let (oh, ow) = g.output_hw();
+        let mut out = vec![0.0; n * bias.len() * oh * ow];
+        conv2d_forward(x, n, g, weight, bias, bias.len(), &mut out);
+        out
+    }
+
+    fn input_grad(gy: &[f32], n: usize, g: &ConvGeometry, weight: &[f32], oc: usize) -> Vec<f32> {
+        let mut dx = vec![0.0; n * g.item_len()];
+        conv2d_input_grad(gy, n, g, weight, oc, &mut dx);
+        dx
+    }
+
     #[test]
     fn forward_matches_manual_patches() {
         // One 3x3 channel, 2x2 kernel: each output is its window's dot
@@ -411,7 +433,7 @@ mod tests {
         let g = ConvGeometry::valid(1, 3, 3, 2);
         let x: Vec<f32> = (0..9).map(|i| i as f32).collect();
         let weight = [1.0, 2.0, 3.0, 4.0];
-        let y = conv2d_forward(&x, 1, &g, &weight, &[0.5], 1);
+        let y = forward(&x, 1, &g, &weight, &[0.5]);
         let dot = |a: usize| x[a] + 2.0 * x[a + 1] + 3.0 * x[a + 3] + 4.0 * x[a + 4] + 0.5;
         assert_eq!(g.output_hw(), (2, 2));
         assert_eq!(y, vec![dot(0), dot(1), dot(3), dot(4)]);
@@ -428,13 +450,13 @@ mod tests {
         let bias = item(out_channels, 0.9);
         let (a, b) = (item(g.item_len(), 0.2), item(g.item_len(), 2.1));
         let both = [a.as_slice(), b.as_slice()].concat();
-        let forward = |x: &[f32], n| conv2d_forward(x, n, &g, &weight, &bias, out_channels);
-        assert_eq!(forward(&both, 2), [forward(&a, 1), forward(&b, 1)].concat());
+        let fwd = |x: &[f32], n| forward(x, n, &g, &weight, &bias);
+        assert_eq!(fwd(&both, 2), [fwd(&a, 1), fwd(&b, 1)].concat());
 
         let g_len = out_channels * oh * ow;
         let (ya, yb) = (item(g_len, 1.7), item(g_len, -0.6));
         let grads = [ya.as_slice(), yb.as_slice()].concat();
-        let back = |y: &[f32], n| conv2d_input_grad(y, n, &g, &weight, out_channels);
+        let back = |y: &[f32], n| input_grad(y, n, &g, &weight, out_channels);
         assert_eq!(back(&grads, 2), [back(&ya, 1), back(&yb, 1)].concat());
     }
 
@@ -447,8 +469,8 @@ mod tests {
         let x = item(g.item_len(), 0.1);
         let weight = item(out_channels * g.patch(), 0.7);
         let y = item(out_channels * oh * ow, 1.3);
-        let forward = conv2d_forward(&x, 1, &g, &weight, &[0.0; 3], out_channels);
-        let back = conv2d_input_grad(&y, 1, &g, &weight, out_channels);
+        let forward = forward(&x, 1, &g, &weight, &[0.0; 3]);
+        let back = input_grad(&y, 1, &g, &weight, out_channels);
         let dot = |a: &[f32], b: &[f32]| -> f64 {
             a.iter()
                 .zip(b)
@@ -457,5 +479,34 @@ mod tests {
         };
         let (lhs, rhs) = (dot(&forward, &y), dot(&x, &back));
         assert!((lhs - rhs).abs() < 1e-4, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn reused_buffers_give_fresh_results() {
+        // Buffers a previous pass left dirty: the forward pass overwrites
+        // every element, the accumulating passes zero theirs first.
+        let g = ConvGeometry::valid(2, 5, 4, 2);
+        let (oh, ow) = g.output_hw();
+        let (n, oc) = (2, 3);
+        let x = item(n * g.item_len(), 0.3);
+        let weight = item(oc * g.patch(), 0.8);
+        let bias = item(oc, 1.1);
+        let gy = item(n * oc * oh * ow, -0.4);
+
+        let mut out = vec![f32::NAN; n * oc * oh * ow];
+        conv2d_forward(&x, n, &g, &weight, &bias, oc, &mut out);
+        assert_eq!(out, forward(&x, n, &g, &weight, &bias));
+
+        let mut dx = vec![f32::NAN; n * g.item_len()];
+        conv2d_input_grad(&gy, n, &g, &weight, oc, &mut dx);
+        assert_eq!(dx, input_grad(&gy, n, &g, &weight, oc));
+
+        let mut partials = vec![f32::NAN; n * oc * g.patch()];
+        conv2d_weight_partials(&x, &gy, n, &g, oc, &mut partials);
+        let mut grad = vec![0.0; oc * g.patch()];
+        conv2d_weight_grad(&x, &gy, n, &g, oc, &mut grad);
+        let (first, second) = partials.split_at(oc * g.patch());
+        let summed: Vec<f32> = first.iter().zip(second).map(|(a, b)| 0.0 + a + b).collect();
+        assert_eq!(grad, summed);
     }
 }

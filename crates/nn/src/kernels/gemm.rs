@@ -4,16 +4,12 @@
 //! still produced by one straight, ascending-`k` chain of fused
 //! multiply-adds starting from `+0.0`, exactly like the reference kernels
 //! in [`super::reference`].  Column panels keep the streamed operand
-//! resident in cache while the panel is reused across output rows, and row
-//! chunks fan out to scoped worker threads (disjoint writes, so the worker
-//! count cannot affect any bit of the result).
+//! resident in cache while the panel is reused across output rows.
 //!
 //! The block sizes are fixed constants.  Because tiles only partition the
 //! *output*, any block size would produce the same bits; the reference
 //! parity tests below (panelled branch included) and in
 //! `crates/nn/tests/kernel_properties.rs` pin the one schedule in use.
-
-use super::run_row_chunks;
 
 /// Column-panel width in `f32` elements (1 KiB per panel row): the panel
 /// of the streamed operand stays in L1/L2 while it is reused across rows.
@@ -22,9 +18,6 @@ const COL_BLOCK: usize = 256;
 /// Row-tile height of the dot-product kernel: the tile of `A` rows stays
 /// hot while the whole of `B` streams past it once per tile.
 const ROW_BLOCK: usize = 32;
-
-/// Minimum output rows per worker before a thread is spawned.
-const MIN_ROWS_PER_WORKER: usize = 4;
 
 /// `B` matrices at most this many `f32`s (2 MiB) are treated as cache
 /// resident and processed without column panelling — the panel bookkeeping
@@ -43,102 +36,89 @@ fn panel_width(k: usize, n: usize, col_block: usize) -> usize {
     }
 }
 
-/// Row-major matrix multiply `C = A(m×k) · B(k×n)`, blocked and threaded.
+/// Row-major matrix multiply `C = A(m×k) · B(k×n)`, blocked.
 ///
 /// Bit-identical to [`super::reference::matmul`].
 pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "gemm: A size mismatch");
     assert_eq!(b.len(), k * n, "gemm: B size mismatch");
     let mut c = vec![0.0f32; m * n];
-    if n == 0 {
-        return c;
-    }
     let panel = panel_width(k, n, COL_BLOCK);
-    run_row_chunks(&mut c, m, n, MIN_ROWS_PER_WORKER, |first, rows, chunk| {
-        let a_chunk = &a[first * k..(first + rows) * k];
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = panel.min(n - j0);
-            for i in 0..rows {
-                let a_row = &a_chunk[i * k..(i + 1) * k];
-                let c_row = &mut chunk[i * n + j0..i * n + j0 + jb];
-                for (kk, &a_val) in a_row.iter().enumerate() {
-                    if a_val == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n + j0..kk * n + j0 + jb];
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                        *c_v += a_val * b_v;
-                    }
+    let mut j0 = 0;
+    while j0 < n {
+        let jb = panel.min(n - j0);
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let c_row = &mut c[i * n + j0..i * n + j0 + jb];
+            for (kk, &a_val) in a_row.iter().enumerate() {
+                if a_val == 0.0 {
+                    continue;
+                }
+                let b_row = &b[kk * n + j0..kk * n + j0 + jb];
+                for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
+                    *c_v += a_val * b_v;
                 }
             }
-            j0 += jb;
         }
-    });
+        j0 += jb;
+    }
     c
 }
 
-/// `C = Aᵀ · B` with `a` stored `(k × m)`, blocked and threaded.
+/// `C = Aᵀ · B` with `a` stored `(k × m)`, blocked.
 ///
 /// Bit-identical to [`super::reference::matmul_at`].
 pub fn gemm_at(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), k * m, "gemm_at: A size mismatch");
     assert_eq!(b.len(), k * n, "gemm_at: B size mismatch");
     let mut c = vec![0.0f32; m * n];
-    if n == 0 {
-        return c;
-    }
     // Here the panel keeps the *output* resident: every column panel of C
     // is revisited k times (once per kk), so C is the operand to protect.
     let panel = panel_width(m, n, COL_BLOCK);
-    run_row_chunks(&mut c, m, n, MIN_ROWS_PER_WORKER, |first, rows, chunk| {
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = panel.min(n - j0);
-            for kk in 0..k {
-                let b_row = &b[kk * n + j0..kk * n + j0 + jb];
-                let a_col = &a[kk * m + first..kk * m + first + rows];
-                for (i, &a_val) in a_col.iter().enumerate() {
-                    if a_val == 0.0 {
-                        continue;
-                    }
-                    let c_row = &mut chunk[i * n + j0..i * n + j0 + jb];
-                    for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                        *c_v += a_val * b_v;
-                    }
+    let mut j0 = 0;
+    while j0 < n {
+        let jb = panel.min(n - j0);
+        for kk in 0..k {
+            let b_row = &b[kk * n + j0..kk * n + j0 + jb];
+            let a_col = &a[kk * m..(kk + 1) * m];
+            for (i, &a_val) in a_col.iter().enumerate() {
+                if a_val == 0.0 {
+                    continue;
+                }
+                let c_row = &mut c[i * n + j0..i * n + j0 + jb];
+                for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
+                    *c_v += a_val * b_v;
                 }
             }
-            j0 += jb;
         }
-    });
+        j0 += jb;
+    }
     c
 }
 
-/// `C = A(m×k) · Bᵀ` with `b` stored `(n × k)`, tiled and threaded.
+/// `C = A(m×k) · Bᵀ` with `b` stored `(n × k)`, tiled.
 ///
 /// Bit-identical to [`super::reference::matmul_bt`].
 pub fn gemm_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "gemm_bt: A size mismatch");
     assert_eq!(b.len(), n * k, "gemm_bt: B size mismatch");
     let mut c = vec![0.0f32; m * n];
-    run_row_chunks(&mut c, m, n, MIN_ROWS_PER_WORKER, |first, rows, chunk| {
-        let mut i0 = 0;
-        while i0 < rows {
-            let ib = ROW_BLOCK.min(rows - i0);
-            for j in 0..n {
-                let b_row = &b[j * k..(j + 1) * k];
-                for i in i0..i0 + ib {
-                    let a_row = &a[(first + i) * k..(first + i + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (av, bv) in a_row.iter().zip(b_row.iter()) {
-                        acc += av * bv;
-                    }
-                    chunk[i * n + j] = acc;
+    let mut i0 = 0;
+    while i0 < m {
+        let ib = ROW_BLOCK.min(m - i0);
+        for j in 0..n {
+            let b_row = &b[j * k..(j + 1) * k];
+            for i in i0..i0 + ib {
+                let a_row = &a[i * k..(i + 1) * k];
+                let mut acc = 0.0f32;
+                for (av, bv) in a_row.iter().zip(b_row.iter()) {
+                    acc += av * bv;
                 }
+                c[i * n + j] = acc;
             }
-            i0 += ib;
         }
-    });
+        i0 += ib;
+    }
     c
 }
 

@@ -6,14 +6,14 @@
 //!
 //! Each pass — forward, input gradient, weight gradient — is one call into
 //! the direct kernels of `crate::kernels`, which read the whole mini-batch's
-//! `[N, C, H, W]` tensors in place and fan out once over disjoint items.
-//! The weight gradient sums per-sample partials in fixed sample order, so
-//! results are bit-identical to the historical per-sample loops at any
-//! worker count.
+//! `[N, C, H, W]` tensors in place.  The weight and bias gradients sum
+//! per-sample partials in fixed sample order, so results are bit-identical
+//! to the historical per-sample loops, and to the sample-sharded training
+//! step that adds the same partials on its calling thread.
 
 use crate::init::glorot_uniform;
 use crate::kernels::{self, ConvGeometry};
-use crate::layers::Layer;
+use crate::layers::{Layer, PerSample};
 use crate::param::Parameter;
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -79,15 +79,17 @@ impl Conv2d {
         let (n, h, w) = (shape[0], shape[2], shape[3]);
         let geometry = self.geometry(h, w);
         let (oh, ow) = geometry.output_hw();
-        let out = kernels::conv2d_forward(
+        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
+        kernels::conv2d_forward(
             input.data(),
             n,
             &geometry,
             &self.weight.value,
             &self.bias.value,
             self.out_channels,
+            out.data_mut(),
         );
-        Tensor::from_vec(&[n, self.out_channels, oh, ow], out)
+        out
     }
 
     /// Accumulates the weight and bias gradients for the cached forward
@@ -102,7 +104,6 @@ impl Conv2d {
         let n = shape[0];
         let geometry = self.geometry(shape[2], shape[3]);
         let (oh, ow) = geometry.output_hw();
-        let ohow = oh * ow;
         assert_eq!(
             grad_output.shape(),
             &[n, self.out_channels, oh, ow],
@@ -117,15 +118,29 @@ impl Conv2d {
             &mut self.weight.grad,
         );
 
-        // db: per-sample row sums of g, in sample order.
-        for i in 0..n {
-            let g = grad_output.item(i);
-            for oc in 0..self.out_channels {
-                let s = vvd_dsp::accum::sum_f32(g[oc * ohow..(oc + 1) * ohow].iter().copied());
-                self.bias.grad[oc] += s;
+        // db: per-sample sums, added in sample order.
+        let mut sums = vec![0.0f32; n * self.out_channels];
+        bias_sums(grad_output.data(), oh * ow, &mut sums);
+        for sample in sums.chunks_exact(self.out_channels.max(1)) {
+            for (acc, &s) in self.bias.grad.iter_mut().zip(sample) {
+                *acc += s;
             }
         }
         (n, geometry)
+    }
+}
+
+/// Per-sample bias-gradient partials: the sum, from `+0.0` in row-major
+/// order, of each `plane`-long channel plane of an `[N, out_channels, oh,
+/// ow]` output gradient, written to `sums` (`N × out_channels`).
+pub(crate) fn bias_sums(grad_output: &[f32], plane: usize, sums: &mut [f32]) {
+    assert_eq!(
+        grad_output.len(),
+        plane * sums.len(),
+        "Conv2d bias sum size"
+    );
+    for (k, s) in sums.iter_mut().enumerate() {
+        *s = vvd_dsp::accum::sum_f32(grad_output[k * plane..][..plane].iter().copied());
     }
 }
 
@@ -146,17 +161,16 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let (n, geometry) = self.accumulate_parameter_grads(grad_output);
-        let grad_input = kernels::conv2d_input_grad(
+        let mut grad_input = Tensor::zeros(&[n, self.in_channels, geometry.height, geometry.width]);
+        kernels::conv2d_input_grad(
             grad_output.data(),
             n,
             &geometry,
             &self.weight.value,
             self.out_channels,
+            grad_input.data_mut(),
         );
-        Tensor::from_vec(
-            &[n, self.in_channels, geometry.height, geometry.width],
-            grad_input,
-        )
+        grad_input
     }
 
     fn backward_head(&mut self, grad_output: &Tensor) {
@@ -172,6 +186,15 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &'static str {
         "Conv2d"
+    }
+
+    fn per_sample(&self) -> Option<PerSample<'_>> {
+        Some(PerSample::Conv {
+            out_channels: self.out_channels,
+            kernel: self.kernel,
+            weight: &self.weight.value,
+            bias: &self.bias.value,
+        })
     }
 }
 

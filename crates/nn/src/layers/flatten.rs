@@ -1,6 +1,6 @@
 //! Flatten layer: `[N, C, H, W] → [N, C·H·W]`.
 
-use crate::layers::Layer;
+use crate::layers::{Layer, PerSample};
 use crate::tensor::Tensor;
 
 /// Flattens every batch item into a feature vector.
@@ -44,6 +44,10 @@ impl Layer for Flatten {
 
     fn name(&self) -> &'static str {
         "Flatten"
+    }
+
+    fn per_sample(&self) -> Option<PerSample<'_>> {
+        Some(PerSample::Flatten)
     }
 }
 

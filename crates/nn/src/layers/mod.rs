@@ -17,11 +17,14 @@ mod flatten;
 mod pool;
 
 pub use activation::Relu;
+pub(crate) use activation::{relu_backward, relu_in_place};
 pub use batchnorm::BatchNorm2d;
+pub(crate) use conv2d::bias_sums;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use flatten::Flatten;
+pub(crate) use pool::{avg_pool, avg_pool_backward, max_pool, max_pool_backward};
 pub use pool::{AvgPool2d, MaxPool2d};
 
 use crate::param::Parameter;
@@ -90,6 +93,47 @@ pub trait Layer: Send + Sync {
 
     /// Human-readable layer name for summaries.
     fn name(&self) -> &'static str;
+
+    /// The layer as a step of the sample-sharded model passes, when its
+    /// training pass treats every sample of a batch on its own.  `None`
+    /// (the default) for layers that couple a batch in training — a dense
+    /// layer's weight gradient, batch statistics, a dropout stream — which
+    /// end the sharded prefix of a training step.
+    fn per_sample(&self) -> Option<PerSample<'_>> {
+        None
+    }
+}
+
+/// What a per-sample layer does to one sample's activation: the view the
+/// sample-sharded passes of [`crate::Sequential`] run it through.
+#[derive(Debug, Clone, Copy)]
+pub enum PerSample<'a> {
+    /// A square-kernel, stride-1, valid-padding convolution whose
+    /// parameters are `[weight, bias]`.
+    Conv {
+        /// Output channels.
+        out_channels: usize,
+        /// Kernel size.
+        kernel: usize,
+        /// `out_channels × in_channels·kernel²` weights.
+        weight: &'a [f32],
+        /// Per-output-channel bias.
+        bias: &'a [f32],
+    },
+    /// Element-wise `max(x, 0)`.
+    Relu,
+    /// Square average pooling with matching stride.
+    AvgPool {
+        /// Window size.
+        window: usize,
+    },
+    /// Square max pooling with matching stride.
+    MaxPool {
+        /// Window size.
+        window: usize,
+    },
+    /// `[C, H, W]` to `[C·H·W]`; the data does not move.
+    Flatten,
 }
 
 impl Clone for Box<dyn Layer> {

@@ -4,7 +4,7 @@
 //! pooling performed slightly worse (Sec. 4); both are provided so the
 //! ablation bench can reproduce that comparison.
 
-use crate::layers::Layer;
+use crate::layers::{Layer, PerSample};
 use crate::tensor::Tensor;
 
 /// 2-D average pooling with a square window and matching stride.
@@ -24,24 +24,45 @@ impl AvgPool2d {
         }
     }
 
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (h / self.window, w / self.window)
-    }
-
     fn pool(&self, input: &Tensor) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "AvgPool2d expects [N, C, H, W]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        if !out.is_empty() {
-            // The Fig.-8 window gets a copy of the loops with its size fixed.
-            match self.window {
-                2 => avg_pool_rows(input.data(), out.data_mut(), h, w, 2),
-                win => avg_pool_rows(input.data(), out.data_mut(), h, w, win),
-            }
-        }
+        let mut out = Tensor::zeros(&[n, c, h / self.window, w / self.window]);
+        avg_pool(input.data(), out.data_mut(), h, w, self.window);
         out
+    }
+}
+
+/// Average pooling of `[.., h, w]` planes into `out`, square `win` windows
+/// with matching stride, ragged edges dropped.
+pub(crate) fn avg_pool(input: &[f32], out: &mut [f32], h: usize, w: usize, win: usize) {
+    if out.is_empty() {
+        return;
+    }
+    // The Fig.-8 window gets a copy of the loops with its size fixed.
+    match win {
+        2 => avg_pool_rows(input, out, h, w, 2),
+        win => avg_pool_rows(input, out, h, w, win),
+    }
+}
+
+/// Gradient of [`avg_pool`] into `grad_input`, every element of which it
+/// writes: the windows' cells, and the `+0.0` of the ragged edges.
+pub(crate) fn avg_pool_backward(
+    grad: &[f32],
+    grad_input: &mut [f32],
+    h: usize,
+    w: usize,
+    win: usize,
+) {
+    if grad.is_empty() {
+        grad_input.fill(0.0);
+        return;
+    }
+    match win {
+        2 => avg_pool_rows_backward(grad, grad_input, h, w, 2),
+        win => avg_pool_rows_backward(grad, grad_input, h, w, win),
     }
 }
 
@@ -75,7 +96,7 @@ fn avg_pool_rows(input: &[f32], out: &mut [f32], h: usize, w: usize, win: usize)
 
 /// Row-wise gradient of [`avg_pool_rows`]: every cell of a window receives
 /// `0.0 + g / win²`, as [`crate::kernels::reference::avg_pool2d_backward`]
-/// adds it into a zeroed gradient; ragged edges keep their `+0.0`.
+/// adds it into a zeroed gradient; ragged edges get `+0.0`.
 #[inline(always)]
 fn avg_pool_rows_backward(grad: &[f32], grad_input: &mut [f32], h: usize, w: usize, win: usize) {
     let (oh, ow) = (h / win, w / win);
@@ -84,12 +105,16 @@ fn avg_pool_rows_backward(grad: &[f32], grad_input: &mut [f32], h: usize, w: usi
         .chunks_exact(oh * ow)
         .zip(grad_input.chunks_exact_mut(h * w));
     for (g_plane, plane) in planes {
+        let (windows, bottom) = plane.split_at_mut(oh * win * w);
+        bottom.fill(0.0);
         let rows = g_plane
             .chunks_exact(ow)
-            .zip(plane.chunks_exact_mut(win * w));
+            .zip(windows.chunks_exact_mut(win * w));
         for (g_row, rows) in rows {
             for row in rows.chunks_exact_mut(w) {
-                for (&g, cell) in g_row.iter().zip(row.chunks_exact_mut(win)) {
+                let (cells, right) = row.split_at_mut(ow * win);
+                right.fill(0.0);
+                for (&g, cell) in g_row.iter().zip(cells.chunks_exact_mut(win)) {
                     let v = 0.0 + g / win2;
                     for d in cell {
                         *d = v;
@@ -117,19 +142,20 @@ impl Layer for AvgPool2d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let shape = &self.cached_shape;
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-        if !grad_output.is_empty() {
-            match self.window {
-                2 => avg_pool_rows_backward(grad_output.data(), grad_input.data_mut(), h, w, 2),
-                win => avg_pool_rows_backward(grad_output.data(), grad_input.data_mut(), h, w, win),
-            }
-        }
+        let (h, w) = (shape[2], shape[3]);
+        let mut grad_input = Tensor::zeros(shape);
+        avg_pool_backward(grad_output.data(), grad_input.data_mut(), h, w, self.window);
         grad_input
     }
 
     fn name(&self) -> &'static str {
         "AvgPool2d"
+    }
+
+    fn per_sample(&self) -> Option<PerSample<'_>> {
+        Some(PerSample::AvgPool {
+            window: self.window,
+        })
     }
 }
 
@@ -152,45 +178,89 @@ impl MaxPool2d {
         }
     }
 
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (h / self.window, w / self.window)
-    }
-
     fn pool_with_argmax(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "MaxPool2d expects [N, C, H, W]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0; n * c * oh * ow];
-        for i in 0..n {
-            let item = input.item(i);
-            let out_item = out.item_mut(i);
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..self.window {
-                            for dx in 0..self.window {
-                                let idx = ch * h * w
-                                    + (oy * self.window + dy) * w
-                                    + ox * self.window
-                                    + dx;
-                                if item[idx] > best {
-                                    best = item[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let out_idx = ch * oh * ow + oy * ow + ox;
-                        out_item[out_idx] = best;
-                        argmax[i * c * oh * ow + out_idx] = best_idx;
+        let mut out = Tensor::zeros(&[n, c, h / self.window, w / self.window]);
+        let mut argmax = vec![0; out.len()];
+        max_pool(input.data(), out.data_mut(), &mut argmax, h, w, self.window);
+        (out, argmax)
+    }
+}
+
+/// Max pooling of `[.., h, w]` planes into `out`, square `win` windows with
+/// matching stride, ragged edges dropped.  Each window's winning cell —
+/// its index in the plane — goes to `argmax`: the first cell, in `(dy, dx)`
+/// order, strictly greater than every cell before it and than `−∞`.  A
+/// window of `−∞` and NaN has no such cell and keeps its own first cell, so
+/// its gradient still lands inside it.
+pub(crate) fn max_pool(
+    input: &[f32],
+    out: &mut [f32],
+    argmax: &mut [usize],
+    h: usize,
+    w: usize,
+    win: usize,
+) {
+    let (oh, ow) = (h / win, w / win);
+    if out.is_empty() {
+        return;
+    }
+    let planes = input.chunks_exact(h * w).zip(
+        out.chunks_exact_mut(oh * ow)
+            .zip(argmax.chunks_exact_mut(oh * ow)),
+    );
+    for (plane, (out, argmax)) in planes {
+        for (k, (out, argmax)) in out.iter_mut().zip(argmax.iter_mut()).enumerate() {
+            let first = (k / ow) * win * w + (k % ow) * win;
+            let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+            for dy in 0..win {
+                for dx in 0..win {
+                    let idx = first + dy * w + dx;
+                    if plane[idx] > best {
+                        best = plane[idx];
+                        best_idx = idx;
                     }
                 }
             }
+            *out = best;
+            *argmax = best_idx;
         }
-        (out, argmax)
+    }
+}
+
+/// Gradient of [`max_pool`] into `grad_input`, every element of which it
+/// writes: each window's winning cell receives `0.0 + g`, every other cell
+/// — ragged edges included — `+0.0`.
+pub(crate) fn max_pool_backward(
+    grad: &[f32],
+    argmax: &[usize],
+    grad_input: &mut [f32],
+    h: usize,
+    w: usize,
+    win: usize,
+) {
+    let (oh, ow) = (h / win, w / win);
+    if grad.is_empty() {
+        grad_input.fill(0.0);
+        return;
+    }
+    let planes = grad_input
+        .chunks_exact_mut(h * w)
+        .zip(grad.chunks_exact(oh * ow).zip(argmax.chunks_exact(oh * ow)));
+    for (plane, (grad, argmax)) in planes {
+        for (y, row) in plane.chunks_exact_mut(w).enumerate() {
+            for (x, cell) in row.iter_mut().enumerate() {
+                let (oy, ox) = (y / win, x / win);
+                let window = oy * ow + ox;
+                *cell = if oy < oh && ox < ow && argmax[window] == y * w + x {
+                    0.0 + grad[window]
+                } else {
+                    0.0
+                };
+            }
+        }
     }
 }
 
@@ -212,22 +282,27 @@ impl Layer for MaxPool2d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let shape = &self.cached_shape;
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let mut grad_input = Tensor::zeros(&[n, c, h, w]);
-        for i in 0..n {
-            let g = grad_output.item(i);
-            let gi = grad_input.item_mut(i);
-            for (idx, &gval) in g[..c * oh * ow].iter().enumerate() {
-                let src = self.cached_argmax[i * c * oh * ow + idx];
-                gi[src] += gval;
-            }
-        }
+        let (h, w) = (shape[2], shape[3]);
+        let mut grad_input = Tensor::zeros(shape);
+        max_pool_backward(
+            grad_output.data(),
+            &self.cached_argmax,
+            grad_input.data_mut(),
+            h,
+            w,
+            self.window,
+        );
         grad_input
     }
 
     fn name(&self) -> &'static str {
         "MaxPool2d"
+    }
+
+    fn per_sample(&self) -> Option<PerSample<'_>> {
+        Some(PerSample::MaxPool {
+            window: self.window,
+        })
     }
 }
 
@@ -284,5 +359,39 @@ mod tests {
         let mut avg = AvgPool2d::new(2);
         let mut max = MaxPool2d::new(2);
         assert_eq!(avg.forward(&x, true).data(), max.forward(&x, true).data());
+    }
+
+    #[test]
+    fn max_pool_keeps_a_degenerate_windows_gradient_inside_it() {
+        // The right window holds only -inf: no cell beats the -inf start,
+        // so its own first cell (index 2) takes its gradient, not the left
+        // window's top-left cell.
+        let inf = f32::NEG_INFINITY;
+        let mut pool = MaxPool2d::new(2);
+        let x = Tensor::from_vec(&[1, 1, 2, 4], vec![1.0, 2.0, inf, inf, 3.0, 4.0, inf, inf]);
+        let y = pool.forward(&x, true);
+        assert_eq!(y.data(), &[4.0, inf]);
+        let gi = pool.backward(&Tensor::from_vec(&[1, 1, 1, 2], vec![5.0, 7.0]));
+        assert_eq!(gi.data(), &[0.0, 0.0, 7.0, 0.0, 0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn backward_passes_overwrite_dirty_buffers() {
+        // A 5x7 plane pools to 2x3 with a ragged bottom row and right
+        // column; both backward passes write every cell of a reused buffer.
+        let (h, w, win) = (5, 7, 2);
+        let x: Vec<f32> = (0..h * w).map(|i| (i as f32 * 0.7).sin()).collect();
+        let g: Vec<f32> = (1..=6).map(|i| i as f32).collect();
+        let fresh = |backward: &dyn Fn(&mut [f32])| {
+            let mut zeroed = vec![0.0; h * w];
+            backward(&mut zeroed);
+            let mut dirty = vec![f32::NAN; h * w];
+            backward(&mut dirty);
+            assert_eq!(zeroed, dirty);
+        };
+        fresh(&|gi| avg_pool_backward(&g, gi, h, w, win));
+        let (mut out, mut argmax) = (vec![0.0; 6], vec![0; 6]);
+        max_pool(&x, &mut out, &mut argmax, h, w, win);
+        fresh(&|gi| max_pool_backward(&g, &argmax, gi, h, w, win));
     }
 }

@@ -21,9 +21,10 @@
 //! * mean-squared-error loss ([`loss`]),
 //! * SGD, Adam and Nadam optimizers (the paper uses Nadam, lr 1e-4, decay
 //!   0.004) ([`optim`]),
-//! * a [`model::Sequential`] container and a [`train::Trainer`] that keeps
-//!   the weights of the best validation epoch, exactly like the paper's
-//!   model-selection procedure,
+//! * a [`model::Sequential`] container whose passes cut a batch into
+//!   sample shards, one thread fan-out per pass, and a [`train::Trainer`]
+//!   that keeps the weights of the best validation epoch, exactly like the
+//!   paper's model-selection procedure,
 //! * weight (de)serialisation via `serde` ([`serialize`]).
 //!
 //! The implementation favours clarity and testability over raw speed; the
@@ -41,10 +42,13 @@ pub mod model;
 pub mod optim;
 pub mod param;
 pub mod serialize;
+mod shard;
 pub mod tensor;
 pub mod train;
 
-pub use layers::{AvgPool2d, BatchNorm2d, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Relu};
+pub use layers::{
+    AvgPool2d, BatchNorm2d, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, PerSample, Relu,
+};
 pub use loss::mse;
 pub use model::Sequential;
 pub use optim::{Adam, Nadam, Optimizer, Sgd};

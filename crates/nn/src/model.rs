@@ -1,7 +1,28 @@
-//! Sequential model container.
+//! Sequential model container and its sample-sharded passes.
+//!
+//! A batch's samples are independent through a network's leading
+//! per-sample layers (convolution, ReLU, pooling, flatten — see
+//! [`crate::layers::PerSample`]), so every model pass cuts the batch into
+//! contiguous sample shards, one per worker of [`vvd_dsp::worker_budget`],
+//! and fans out once per pass over per-shard buffers:
+//!
+//! * **inference** ([`Sequential::infer`]) runs the whole network per
+//!   shard — past the prefix through [`Layer::infer`], which treats every
+//!   sample on its own too;
+//! * **a training step** runs the prefix forward per shard, the
+//!   batch-coupled tail (dense layers, and batch norm or dropout, which end
+//!   the prefix) on the calling thread, then the prefix backward per
+//!   shard; the calling thread adds the shards' per-sample convolution
+//!   partials into the gradients in sample order.
+//!
+//! No element's arithmetic or addition order depends on the shard count,
+//! so every result is bit-identical to the per-layer [`Layer::forward`] /
+//! [`Layer::backward`] chain over the whole batch.
 
 use crate::layers::Layer;
+use crate::loss::mse;
 use crate::optim::Optimizer;
+use crate::shard::{add_partials, each_shard, Scratch};
 use crate::tensor::Tensor;
 
 /// A stack of layers executed in order.
@@ -47,25 +68,13 @@ impl Sequential {
             .sum()
     }
 
-    /// Forward pass through every layer.
-    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in self.layers.iter_mut() {
-            x = layer.forward(&x, training);
-        }
-        x
-    }
-
     /// Inference pass through every layer without touching any layer
-    /// caches — bit-identical to `forward(input, false)`, but usable
-    /// through a shared reference (e.g. a trained model behind an
-    /// [`std::sync::Arc`] serving many estimators at once).
+    /// caches, usable through a shared reference (e.g. a trained model
+    /// behind an [`std::sync::Arc`] serving many estimators at once).  The
+    /// batch runs in sample shards over [`vvd_dsp::worker_budget`] workers;
+    /// the result does not depend on their number.
     pub fn infer(&self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in self.layers.iter() {
-            x = layer.infer(&x);
-        }
-        x
+        self.infer_sharded(input, vvd_dsp::worker_budget())
     }
 
     /// Inference helper (no training-mode behaviour, no cache writes).
@@ -73,20 +82,125 @@ impl Sequential {
         self.infer(input)
     }
 
-    /// Backward pass: propagates the loss gradient through every layer,
-    /// accumulating parameter gradients.  The first layer's input gradient
-    /// is not consumed by anything, so it takes the cheaper
-    /// [`Layer::backward_head`] path (same parameter gradients).
-    pub fn backward(&mut self, grad_output: &Tensor) {
-        let mut g = grad_output.clone();
-        let n = self.layers.len();
-        for (idx, layer) in self.layers.iter_mut().rev().enumerate() {
-            if idx + 1 == n {
-                layer.backward_head(&g);
+    /// [`Sequential::infer`] over at most `shards` sample shards, in
+    /// buffers that live for this call only.
+    pub(crate) fn infer_sharded(&self, input: &Tensor, shards: usize) -> Tensor {
+        let n = input.batch_size();
+        if n == 0 {
+            return self.layers.iter().fold(input.clone(), |x, l| l.infer(&x));
+        }
+        let mut scratch = self.scratch(&input.shape()[1..], n, shards, false);
+        let samples: Vec<usize> = (0..n).collect();
+        Tensor::concat(&self.infer_shards(&mut scratch, input, &samples))
+    }
+
+    /// Shard buffers for passes over batches of up to `batch` items of
+    /// `item_shape` in up to `shards` shards, laid out for the prefix: the
+    /// leading layers whose training pass treats every sample on its own.
+    /// Backward buffers only when `backward`.
+    pub(crate) fn scratch(
+        &self,
+        item_shape: &[usize],
+        batch: usize,
+        shards: usize,
+        backward: bool,
+    ) -> Scratch {
+        let prefix = self.layers.iter().take_while(|l| l.per_sample().is_some());
+        let prefix = &self.layers[..prefix.count()];
+        Scratch::new(prefix, item_shape, batch, shards, backward)
+    }
+
+    /// Inference over `samples` of `x` in one fan-out: each shard runs the
+    /// prefix in its buffers and the remaining layers through
+    /// [`Layer::infer`].  Returns the shards' outputs in sample order.
+    pub(crate) fn infer_shards(
+        &self,
+        scratch: &mut Scratch,
+        x: &Tensor,
+        samples: &[usize],
+    ) -> Vec<Tensor> {
+        let Scratch { layout, shards } = scratch;
+        let (prefix, tail) = self.layers.split_at(layout.len());
+        each_shard(shards, samples.len(), |shard, range| {
+            let out = shard.forward(prefix, layout, x, &samples[range]);
+            tail.iter().fold(out, |t, layer| layer.infer(&t))
+        })
+    }
+
+    /// One training step's forward and backward passes over the samples
+    /// `batch` of `(x, y)` under the MSE loss: accumulates every parameter
+    /// gradient and returns the batch loss.
+    ///
+    /// The prefix runs forward and backward in sample shards; the tail runs
+    /// on the calling thread through [`Layer::forward`] and
+    /// [`Layer::backward`] (the network's first layer through
+    /// [`Layer::backward_head`]).
+    pub(crate) fn accumulate_gradients(
+        &mut self,
+        scratch: &mut Scratch,
+        x: &Tensor,
+        y: &Tensor,
+        batch: &[usize],
+    ) -> f32 {
+        let Scratch { layout, shards } = scratch;
+        let (prefix, tail) = self.layers.split_at_mut(layout.len());
+        let shared: &[Box<dyn Layer>] = prefix;
+        let outs = each_shard(shards, batch.len(), |shard, range| {
+            shard.forward(shared, layout, x, &batch[range])
+        });
+        let used = outs.len();
+        let mut t = Tensor::concat(&outs);
+        for layer in tail.iter_mut() {
+            t = layer.forward(&t, true);
+        }
+        let (loss, mut grad) = mse(&t, &y.select_batch(batch));
+        for (k, layer) in tail.iter_mut().enumerate().rev() {
+            if k == 0 && shared.is_empty() {
+                layer.backward_head(&grad);
             } else {
-                g = layer.backward(&g);
+                grad = layer.backward(&grad);
             }
         }
+        if !shared.is_empty() {
+            let width = grad.item_len();
+            each_shard(shards, batch.len(), |shard, range| {
+                let g = &grad.data()[range.start * width..range.end * width];
+                shard.backward(shared, layout, g);
+            });
+            add_partials(prefix, &shards[..used]);
+        }
+        loss
+    }
+
+    /// The MSE of the network's inference over the whole of `(x, y)`, run
+    /// `chunk` samples at a time through `scratch`: bit-identical to
+    /// `mse_value(&self.infer(x), y)`, whose element order its one running
+    /// sum keeps.
+    pub(crate) fn validation_loss(
+        &self,
+        scratch: &mut Scratch,
+        x: &Tensor,
+        y: &Tensor,
+        chunk: usize,
+    ) -> f32 {
+        assert_eq!(
+            x.batch_size(),
+            y.batch_size(),
+            "validation set size mismatch"
+        );
+        let samples: Vec<usize> = (0..x.batch_size()).collect();
+        let mut targets = y.data().iter();
+        let mut sum = 0.0f32;
+        for batch in samples.chunks(chunk.max(1)) {
+            for out in self.infer_shards(scratch, x, batch) {
+                assert_eq!(&out.shape()[1..], &y.shape()[1..], "MSE shape mismatch");
+                for (&p, &t) in out.data().iter().zip(&mut targets) {
+                    let d = p - t;
+                    sum += d * d;
+                }
+            }
+        }
+        sum / y.len().max(1) as f32
     }
 
     /// Clears every parameter gradient.
@@ -167,11 +281,12 @@ impl Default for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu};
-    use crate::loss::mse;
-    use crate::optim::Sgd;
+    use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Dense, Dropout, Flatten, MaxPool2d, Relu};
+    use crate::optim::{Nadam, Sgd};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_model(seed: u64) -> Sequential {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -179,6 +294,16 @@ mod tests {
             .add(Dense::new(2, 8, &mut rng))
             .add(Relu::new())
             .add(Dense::new(8, 1, &mut rng))
+    }
+
+    /// One training step over the whole of `(x, y)`, in two shards.
+    fn train_step<O: Optimizer>(m: &mut Sequential, x: &Tensor, y: &Tensor, opt: &mut O) -> f32 {
+        let batch: Vec<usize> = (0..x.batch_size()).collect();
+        let mut scratch = m.scratch(&x.shape()[1..], batch.len(), 2, true);
+        m.zero_grad();
+        let loss = m.accumulate_gradients(&mut scratch, x, y, &batch);
+        m.step(opt);
+        loss
     }
 
     #[test]
@@ -201,15 +326,11 @@ mod tests {
         let x = Tensor::stack(&xs, &[2]);
         let y = Tensor::stack(&ys, &[1]);
 
-        let initial_loss = mse(&m.forward(&x, false), &y).0;
+        let initial_loss = mse(&m.infer(&x), &y).0;
         for _ in 0..300 {
-            m.zero_grad();
-            let pred = m.forward(&x, true);
-            let (_, grad) = mse(&pred, &y);
-            m.backward(&grad);
-            m.step(&mut opt);
+            train_step(&mut m, &x, &y, &mut opt);
         }
-        let final_loss = mse(&m.forward(&x, false), &y).0;
+        let final_loss = mse(&m.infer(&x), &y).0;
         assert!(
             final_loss < initial_loss * 0.05,
             "loss did not drop enough: {initial_loss} -> {final_loss}"
@@ -225,12 +346,9 @@ mod tests {
 
         // Perturb the weights by "training" on garbage.
         let mut opt = Sgd::new(0.5, 0.0);
+        let garbage = Tensor::from_vec(&[1, 1], vec![100.0]);
         for _ in 0..10 {
-            m.zero_grad();
-            let pred = m.forward(&x, true);
-            let (_, grad) = mse(&pred, &Tensor::from_vec(&[1, 1], vec![100.0]));
-            m.backward(&grad);
-            m.step(&mut opt);
+            train_step(&mut m, &x, &garbage, &mut opt);
         }
         assert!((m.predict(&x).data()[0] - before.data()[0]).abs() > 1e-3);
 
@@ -249,12 +367,9 @@ mod tests {
         // Training the clone must not affect the original.
         let before = m.predict(&x);
         let mut opt = Sgd::new(0.5, 0.0);
+        let target = Tensor::from_vec(&[1, 1], vec![42.0]);
         for _ in 0..5 {
-            c.zero_grad();
-            let pred = c.forward(&x, true);
-            let (_, grad) = mse(&pred, &Tensor::from_vec(&[1, 1], vec![42.0]));
-            c.backward(&grad);
-            c.step(&mut opt);
+            train_step(&mut c, &x, &target, &mut opt);
         }
         assert_eq!(m.predict(&x).data(), before.data());
         assert!((c.predict(&x).data()[0] - before.data()[0]).abs() > 1e-3);
@@ -264,9 +379,13 @@ mod tests {
     fn zero_grad_clears_all_gradients() {
         let mut m = tiny_model(3);
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
-        let pred = m.forward(&x, true);
-        let (_, grad) = mse(&pred, &Tensor::from_vec(&[1, 1], vec![0.0]));
-        m.backward(&grad);
+        let mut scratch = m.scratch(&[2], 1, 1, true);
+        m.accumulate_gradients(
+            &mut scratch,
+            &x,
+            &Tensor::from_vec(&[1, 1], vec![0.0]),
+            &[0],
+        );
         let any_nonzero = m
             .layers
             .iter_mut()
@@ -280,5 +399,144 @@ mod tests {
             .flat_map(|l| l.parameters())
             .all(|p| p.grad_norm() == 0.0);
         assert!(all_zero);
+    }
+
+    /// Image height and width of the sharding tests: the first pool has a
+    /// ragged row and column, the second a ragged row.
+    const H: usize = 11;
+    const W: usize = 13;
+
+    /// An image network whose sharded prefix ends at its flatten (`end`
+    /// 0), at a batch norm right after the first convolution (1) or at a
+    /// dropout after the second pool (2), pooling by average or max.
+    fn image_model(end: u8, max_pool: bool, seed: u64) -> Sequential {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool = |m: Sequential| {
+            if max_pool {
+                m.add(MaxPool2d::new(2))
+            } else {
+                m.add(AvgPool2d::new(2))
+            }
+        };
+        // [1, 11, 13] -> conv [3, 9, 11] -> pool [3, 4, 5]
+        //             -> conv [2, 3, 4]  -> pool [2, 1, 2]
+        let mut m = Sequential::new().add(Conv2d::new(1, 3, 3, &mut rng));
+        if end == 1 {
+            m = m.add(BatchNorm2d::new(3));
+        }
+        m = pool(m.add(Relu::new()));
+        m = pool(m.add(Conv2d::new(3, 2, 2, &mut rng)).add(Relu::new()));
+        if end == 2 {
+            m = m.add(Dropout::new(0.3, seed));
+        }
+        m.add(Flatten::new())
+            .add(Dense::new(4, 5, &mut rng))
+            .add(Relu::new())
+            .add(Dense::new(5, 2, &mut rng))
+    }
+
+    /// `n` images with exact zeros, negative zeros and negatives mixed in,
+    /// and their 2-output targets.
+    fn image_data(n: usize, seed: u64) -> (Tensor, Tensor) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut value = || match rng.gen_range(0u8..10) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        };
+        let x: Vec<f32> = (0..n * H * W).map(|_| value()).collect();
+        let y: Vec<f32> = (0..n * 2).map(|_| value()).collect();
+        (
+            Tensor::from_vec(&[n, 1, H, W], x),
+            Tensor::from_vec(&[n, 2], y),
+        )
+    }
+
+    /// One training step through the layers' own passes over the whole
+    /// batch: the order every sharded step must reproduce.
+    fn reference_step(m: &mut Sequential, x: &Tensor, y: &Tensor, opt: &mut Nadam) -> f32 {
+        m.zero_grad();
+        let mut t = x.clone();
+        for layer in m.layers.iter_mut() {
+            t = layer.forward(&t, true);
+        }
+        let (loss, mut g) = mse(&t, y);
+        for (i, layer) in m.layers.iter_mut().enumerate().rev() {
+            if i == 0 {
+                layer.backward_head(&g);
+            } else {
+                g = layer.backward(&g);
+            }
+        }
+        m.step(opt);
+        loss
+    }
+
+    /// Parameters, gradients and buffers as raw bits.
+    fn model_bits(m: &mut Sequential) -> Vec<Vec<u32>> {
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let mut out: Vec<Vec<u32>> = m.buffers_state().iter().map(|b| bits(b)).collect();
+        for p in m.layers.iter_mut().flat_map(|l| l.parameters()) {
+            out.push(bits(&p.value));
+            out.push(bits(&p.grad));
+        }
+        out
+    }
+
+    proptest! {
+        /// Training steps through the sharded passes, over a shuffled
+        /// set with a ragged last batch, equal the per-layer chain over
+        /// each whole batch: every loss, parameter, gradient and running
+        /// statistic, bit for bit.
+        #[test]
+        fn sharded_steps_equal_the_per_layer_chain(
+            batch in 1usize..18,
+            extra in 0usize..18,
+            shards in 1usize..6,
+            end in 0u8..3,
+            max_pool in any::<bool>(),
+            seed in 0u64..1_000_000,
+        ) {
+            let n = batch + extra;
+            let (x, y) = image_data(n, seed);
+            let mut sharded = image_model(end, max_pool, seed);
+            let mut reference = sharded.clone();
+            let (mut opt_s, mut opt_r) = (Nadam::new(0.01, 0.001), Nadam::new(0.01, 0.001));
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(seed ^ 1));
+
+            let mut scratch = sharded.scratch(&[1, H, W], batch, shards, true);
+            for chunk in order.chunks(batch) {
+                sharded.zero_grad();
+                let loss = sharded.accumulate_gradients(&mut scratch, &x, &y, chunk);
+                sharded.step(&mut opt_s);
+                let (xb, yb) = (x.select_batch(chunk), y.select_batch(chunk));
+                let expected = reference_step(&mut reference, &xb, &yb, &mut opt_r);
+                prop_assert_eq!(loss.to_bits(), expected.to_bits());
+            }
+            prop_assert_eq!(model_bits(&mut sharded), model_bits(&mut reference));
+        }
+
+        /// Inference in any number of shards equals one shard and the
+        /// per-layer chain, across `PREDICT_CHUNK`-sized batches.
+        #[test]
+        fn sharded_inference_equals_one_shard(
+            n in 1usize..34,
+            shards in 2usize..6,
+            end in 0u8..3,
+            max_pool in any::<bool>(),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut m = image_model(end, max_pool, seed);
+            let (x, y) = image_data(n, seed);
+            // One step gives the batch norm non-trivial running statistics.
+            reference_step(&mut m, &x, &y, &mut Nadam::new(0.01, 0.0));
+            let bits = |t: &Tensor| t.data().iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+            let one = m.infer_sharded(&x, 1);
+            prop_assert_eq!(one.shape(), &[n, 2]);
+            prop_assert_eq!(bits(&m.infer_sharded(&x, shards)), bits(&one));
+            let chain = m.layers.iter().fold(x.clone(), |t, layer| layer.infer(&t));
+            prop_assert_eq!(bits(&chain), bits(&one));
+        }
     }
 }

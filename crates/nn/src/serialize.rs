@@ -150,8 +150,8 @@ mod tests {
     mod full_stack_roundtrip {
         use super::*;
         use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, MaxPool2d};
-        use crate::loss::mse;
         use crate::optim::Sgd;
+        use crate::train::{TrainConfig, Trainer};
 
         /// A model using every layer type in `layers/`: Conv2d, BatchNorm2d,
         /// ReLU, AvgPool2d, MaxPool2d, Dropout, Flatten, Dense.
@@ -186,13 +186,15 @@ mod tests {
             // statistics (they live in buffers, not parameters).
             let mut opt = Sgd::new(0.01, 0.0);
             let x = probe();
-            for _ in 0..5 {
-                original.zero_grad();
-                let y = original.forward(&x, true);
-                let (_, grad) = mse(&y, &Tensor::zeros(y.shape()));
-                original.backward(&grad);
-                original.step(&mut opt);
-            }
+            let trainer = Trainer::new(TrainConfig {
+                epochs: 5,
+                batch_size: 2,
+                shuffle_seed: 0,
+                keep_best_validation_epoch: false,
+            });
+            let (no_x, no_y) = (Tensor::zeros(&[0, 1, 14, 14]), Tensor::zeros(&[0, 2]));
+            let zeros = Tensor::zeros(&[2, 2]);
+            trainer.fit(&mut original, &mut opt, &x, &zeros, &no_x, &no_y);
             let expected = original.predict(&x);
 
             let json = ModelCheckpoint::capture("every-layer", &mut original).to_json();

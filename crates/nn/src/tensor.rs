@@ -119,6 +119,23 @@ impl Tensor {
         Tensor { shape, data }
     }
 
+    /// Concatenates tensors of one item shape along the batch axis.
+    ///
+    /// # Panics
+    /// Panics on an empty list or differing item shapes.
+    pub fn concat(parts: &[Tensor]) -> Tensor {
+        assert!(!parts.is_empty(), "cannot concatenate zero tensors");
+        let mut shape = parts[0].shape.clone();
+        shape[0] = 0;
+        let mut data = Vec::with_capacity(parts.iter().map(Tensor::len).sum());
+        for part in parts {
+            assert_eq!(part.shape[1..], shape[1..], "item shape mismatch");
+            shape[0] += part.shape[0];
+            data.extend_from_slice(&part.data);
+        }
+        Tensor { shape, data }
+    }
+
     /// Selects a subset of batch items (used for mini-batching).
     pub fn select_batch(&self, indices: &[usize]) -> Tensor {
         let item_len = self.item_len();
@@ -231,6 +248,15 @@ mod tests {
         assert_eq!(sel.shape(), &[2, 2]);
         assert_eq!(sel.item(0), &[5.0, 6.0]);
         assert_eq!(sel.item(1), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn concat_joins_batches() {
+        let a = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]);
+        let b = Tensor::from_vec(&[2, 2], vec![3.0, 4.0, 5.0, 6.0]);
+        let c = Tensor::concat(&[a, b]);
+        assert_eq!(c.shape(), &[3, 2]);
+        assert_eq!(c.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! (Sec. 4).  [`Trainer`] implements exactly that: mini-batch training with
 //! a caller-supplied optimizer, per-epoch validation MSE, and restoration of
 //! the best snapshot at the end.
+//!
+//! A fit sizes its model's shard buffers once, for the mini-batch size and
+//! the [`vvd_dsp::worker_budget`] shard count, reuses them for every
+//! training step and every mini-batch-sized validation chunk, and drops
+//! them when it returns: a trained model holds no scratch.
 
-use crate::loss::{mse, mse_value};
 use crate::model::Sequential;
 use crate::optim::Optimizer;
 use crate::tensor::Tensor;
@@ -89,6 +93,9 @@ impl Trainer {
         let n = train_x.batch_size();
         assert_eq!(n, train_y.batch_size(), "training set size mismatch");
         assert!(n > 0, "empty training set");
+        let batch = self.config.batch_size.max(1);
+        let shards = vvd_dsp::worker_budget();
+        let mut scratch = model.scratch(&train_x.shape()[1..], batch, shards, true);
         let mut rng = StdRng::seed_from_u64(self.config.shuffle_seed);
         let mut indices: Vec<usize> = (0..n).collect();
 
@@ -104,22 +111,17 @@ impl Trainer {
             indices.shuffle(&mut rng);
             let mut epoch_loss = 0.0f32;
             let mut batches = 0usize;
-            for chunk in indices.chunks(self.config.batch_size.max(1)) {
-                let xb = train_x.select_batch(chunk);
-                let yb = train_y.select_batch(chunk);
+            for chunk in indices.chunks(batch) {
                 model.zero_grad();
-                let pred = model.forward(&xb, true);
-                let (loss, grad) = mse(&pred, &yb);
-                model.backward(&grad);
+                let loss = model.accumulate_gradients(&mut scratch, train_x, train_y, chunk);
                 model.step(optimizer);
                 epoch_loss += loss;
                 batches += 1;
             }
             let train_loss = epoch_loss / batches.max(1) as f32;
-            // `infer` is bit-identical to `forward(.., false)` and writes no
-            // backward caches for the validation batch.
+            // Bit-identical to `mse_value(&model.infer(val_x), val_y)`.
             let val_loss = if val_x.batch_size() > 0 {
-                mse_value(&model.infer(val_x), val_y)
+                model.validation_loss(&mut scratch, val_x, val_y, batch)
             } else {
                 train_loss
             };
@@ -146,6 +148,7 @@ impl Trainer {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
+    use crate::loss::mse_value;
     use crate::optim::Nadam;
     use rand::Rng;
 
@@ -207,13 +210,39 @@ mod tests {
         });
         let report = trainer.fit(&mut model, &mut opt, &tx, &ty, &vx, &vy);
         // The restored model must reproduce the best recorded validation loss.
-        let final_val = mse_value(&model.forward(&vx, false), &vy);
+        let final_val = mse_value(&model.infer(&vx), &vy);
         assert!(
             (final_val - report.best_val_loss).abs() < 1e-5,
             "restored model val loss {final_val} != best {}",
             report.best_val_loss
         );
         assert!(report.best_epoch < 25);
+    }
+
+    #[test]
+    fn best_val_loss_is_the_restored_models_inference_loss_bit_for_bit() {
+        // 37 validation samples leave a ragged last chunk at every batch
+        // size here.  Several sizes, because a sum added up in another
+        // order can still round to the same bits.
+        let (tx, ty) = toy_dataset(40, 6);
+        let (vx, vy) = toy_dataset(37, 7);
+        for batch_size in [3, 5, 7, 8] {
+            let mut model = mlp(17);
+            let mut opt = Nadam::new(0.02, 0.0);
+            let trainer = Trainer::new(TrainConfig {
+                epochs: 6,
+                batch_size,
+                shuffle_seed: 9,
+                keep_best_validation_epoch: true,
+            });
+            let report = trainer.fit(&mut model, &mut opt, &tx, &ty, &vx, &vy);
+            let restored = mse_value(&model.infer(&vx), &vy);
+            assert_eq!(
+                report.best_val_loss.to_bits(),
+                restored.to_bits(),
+                "batch size {batch_size}"
+            );
+        }
     }
 
     #[test]

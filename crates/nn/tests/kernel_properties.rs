@@ -2,8 +2,8 @@
 //! *bit-identical*, not approximately equal — across randomized shapes,
 //! and pinning batched passes to their per-sample equivalents.
 //!
-//! These are the proofs behind the kernel-refactor guarantee: blocking,
-//! batching and threading never change a single bit of any result, which
+//! These are the proofs behind the kernel-refactor guarantee: blocking and
+//! batching never change a single bit of any result, which
 //! is why the evaluation goldens survive the rewrite and why cached
 //! trained models are indistinguishable from fresh ones.
 
@@ -100,7 +100,9 @@ proptest! {
         let weight = data(out_channels * geometry.patch(), seed.wrapping_add(4));
         let bias = data(out_channels, seed.wrapping_add(5));
 
-        let batched = kernels::conv2d_forward(&input, n, &geometry, &weight, &bias, out_channels);
+        let (oh, ow) = geometry.output_hw();
+        let mut batched = vec![f32::NAN; n * out_channels * oh * ow];
+        kernels::conv2d_forward(&input, n, &geometry, &weight, &bias, out_channels, &mut batched);
         let mut per_item = Vec::new();
         for item in input.chunks(geometry.item_len()) {
             per_item.extend(reference::conv2d_direct(item, &weight, &bias, out_channels, &geometry));
@@ -149,7 +151,8 @@ proptest! {
         let grad_output = data(n * g_len, seed);
         let weight = data(out_channels * geometry.patch(), seed.wrapping_add(6));
 
-        let batched = kernels::conv2d_input_grad(&grad_output, n, &geometry, &weight, out_channels);
+        let mut batched = vec![f32::NAN; n * geometry.item_len()];
+        kernels::conv2d_input_grad(&grad_output, n, &geometry, &weight, out_channels, &mut batched);
         let mut per_item = Vec::new();
         for g in grad_output.chunks(g_len) {
             per_item.extend(reference::conv2d_input_grad(g, &weight, out_channels, &geometry));

@@ -9,8 +9,8 @@
 //! scattering the outputs back to their sessions in session-id order.
 //!
 //! This is where the serving layer wins: with `S` same-model sessions due
-//! in a tick, the per-packet cost pays one batched GEMM-backed forward
-//! pass instead of `S` single-image passes.  `predict_batch` is
+//! in a tick, the per-packet cost pays one batched forward pass instead of
+//! `S` single-image passes.  `predict_batch` is
 //! bit-identical to per-image prediction (a pinned property of the kernel
 //! layer), so batching is invisible in every decoded result — only in the
 //! [`BatchCounters`].

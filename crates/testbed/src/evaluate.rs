@@ -424,7 +424,8 @@ mod tests {
         assert!(gt.packets > 0);
         // Both are valid rates; the ground-truth estimate stays close to the
         // stale 100 ms estimate or better (standard decoding is excluded from
-        // strict ordering checks, see EXPERIMENTS.md).
+        // strict ordering checks: skipping ZF noise enhancement can make it
+        // competitive at the presets' low SNR).
         assert!((0.0..=1.0).contains(&std_dec.per));
         let prev = result.metric(Technique::Previous100ms).unwrap();
         assert!(gt.per <= prev.per + 0.05);

@@ -107,7 +107,7 @@ fn smoke_evaluation_orders_classical_techniques_sensibly() {
     // Ground truth is the performance bound among estimate-based techniques
     // (standard decoding is excluded from this ordering: with the clean
     // simulated DSSS receiver, skipping ZF noise enhancement can make it
-    // competitive at low SNR — see EXPERIMENTS.md).
+    // competitive at low SNR).
     assert!(per(Technique::GroundTruth) <= per(Technique::Previous500ms) + 0.05);
     assert!(cer(Technique::GroundTruth) <= cer(Technique::Previous500ms) + 1e-3);
     // A 100 ms old estimate cannot be much worse (in MSE) than a 500 ms old
