@@ -86,6 +86,65 @@ fn dsp_fan_out_is_the_only_thread_scope() {
 }
 
 #[test]
+fn serde_has_left_the_workspace() {
+    // One serialization format: every byte that leaves a process or lands
+    // on disk is a wire frame.  No manifest names a serde crate, the
+    // lockfile resolves none, and no source mentions one.
+    let root = workspace_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for group in ["crates", "vendor"] {
+        for entry in std::fs::read_dir(root.join(group)).expect("workspace is readable") {
+            let manifest = entry
+                .expect("workspace is readable")
+                .path()
+                .join("Cargo.toml");
+            if manifest.is_file() {
+                manifests.push(manifest);
+            }
+        }
+    }
+    assert!(manifests.len() > 12, "only {} manifests", manifests.len());
+    let mut sources: Vec<PathBuf> = scan_set(&root)
+        .expect("workspace sources are readable")
+        .into_iter()
+        .map(|rel| root.join(rel))
+        .collect();
+    let mut dirs = vec![root.join("tests"), root.join("examples")];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("workspace is readable") {
+            let path = entry.expect("workspace is readable").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                sources.push(path);
+            }
+        }
+    }
+
+    let mentions: Vec<String> = manifests
+        .iter()
+        .chain(&sources)
+        .filter(|path| {
+            std::fs::read_to_string(path)
+                .expect("file is readable")
+                .contains("serde")
+        })
+        .map(|path| {
+            path.strip_prefix(&root)
+                .unwrap_or(path)
+                .display()
+                .to_string()
+        })
+        .collect();
+    assert!(mentions.is_empty(), "serde is named in {mentions:?}");
+    let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("Cargo.lock is readable");
+    assert!(
+        !lock.lines().any(|line| line.starts_with("name = \"serde")),
+        "Cargo.lock still resolves a serde crate"
+    );
+}
+
+#[test]
 fn nn_parallelism_lives_in_the_model_passes() {
     // vvd-nn fans out once per model pass, over sample shards: no kernel
     // or layer calls the fan-out or sizes one.  Scanned tokens, so

@@ -9,11 +9,10 @@
 
 use crate::noise::add_awgn;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vvd_dsp::{CVec, Complex, FirFilter};
 
 /// Everything that distorts one transmitted packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelRealization {
     /// The block-fading FIR channel for this packet.
     pub fir: FirFilter,

@@ -23,11 +23,10 @@ use crate::paths::{enumerate_paths, human_scatter_path, MultipathComponent};
 use crate::room::Room;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 use vvd_dsp::{CVec, Complex, FirFilter};
 
 /// Configuration of the tapped-delay-line synthesis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CirConfig {
     /// Number of FIR taps of the true channel (the paper estimates 11).
     pub n_taps: usize,
@@ -46,6 +45,15 @@ pub struct CirConfig {
     /// Exponential decay (per tap) of the diffuse residual profile.
     pub diffuse_decay: f64,
 }
+
+vvd_dsp::wire_struct!(CirConfig {
+    n_taps,
+    los_tap,
+    delay_taps_per_meter,
+    human_scatter_reflectivity,
+    diffuse_relative_std,
+    diffuse_decay
+});
 
 impl Default for CirConfig {
     fn default() -> Self {

@@ -1,10 +1,8 @@
 //! 3-D geometry primitives shared by the channel simulator and (via the
 //! scene description) the depth-camera simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// A point / vector in 3-D space (metres).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point3 {
     /// X coordinate (along the room width).
     pub x: f64,
@@ -70,7 +68,7 @@ impl Point3 {
 }
 
 /// A straight propagation segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Segment start.
     pub a: Point3,
@@ -136,7 +134,7 @@ impl Segment {
 
 /// Axis-aligned vertical wall planes of a rectangular room, used by the
 /// image method for first-order reflections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wall {
     /// Wall at `x = 0`.
     West,

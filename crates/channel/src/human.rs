@@ -6,10 +6,9 @@
 //! shadowing) whose horizontal position is the only time-varying quantity.
 
 use crate::geometry::Point3;
-use serde::{Deserialize, Serialize};
 
 /// A human blocker modelled as a vertical cylinder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Human {
     /// Horizontal x position of the cylinder axis (metres).
     pub x: f64,

@@ -17,7 +17,6 @@
 
 use crate::geometry::{Point3, Segment, Wall};
 use crate::room::Room;
-use serde::{Deserialize, Serialize};
 use vvd_dsp::Complex;
 
 /// Speed of light in m/s.
@@ -27,7 +26,7 @@ pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 pub const CARRIER_HZ: f64 = 2.48e9;
 
 /// What kind of propagation mechanism a component represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
     /// Direct line of sight.
     LineOfSight,
@@ -38,7 +37,7 @@ pub enum PathKind {
 }
 
 /// One multipath component of the static environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultipathComponent {
     /// Propagation mechanism.
     pub kind: PathKind,

@@ -9,11 +9,10 @@
 //! rooms.
 
 use crate::geometry::Point3;
-use serde::{Deserialize, Serialize};
 
 /// A static metallic scatterer (PC tower, robot arm, cabinet) that produces
 /// an additional multipath component TX → scatterer → RX.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scatterer {
     /// Scatterer position (taken as the effective scattering centre).
     pub position: Point3,
@@ -27,7 +26,7 @@ pub struct Scatterer {
 }
 
 /// Static description of the measurement environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Room {
     /// Room extent along x (metres).
     pub width: f64,

@@ -27,6 +27,42 @@ pub fn flattened_features(input_h: usize, input_w: usize, filters: usize) -> usi
     filters * h3 * w3
 }
 
+/// The lengths of the parameters and of the buffers [`build_vvd_cnn`]
+/// creates, each in layer order, computed without building anything:
+/// `None` when the input is too small for the stack or a length overflows.
+pub(crate) fn parameter_layout(
+    input_h: usize,
+    input_w: usize,
+    cfg: &VvdConfig,
+) -> Option<(Vec<usize>, Vec<usize>)> {
+    let (h1, w1) = stage_output(input_h, input_w);
+    let (h2, w2) = stage_output(h1, w1);
+    let (h3, w3) = stage_output(h2, w2);
+    let filters = cfg.conv_filters;
+    let features = filters.checked_mul(h3)?.checked_mul(w3)?;
+    let outputs = cfg.channel_taps.checked_mul(2)?;
+    if features == 0 {
+        return None;
+    }
+    let (mut parameters, mut buffers) = (Vec::new(), Vec::new());
+    let mut in_ch = 1usize;
+    for _stage in 0..3 {
+        parameters.extend([filters.checked_mul(in_ch.checked_mul(9)?)?, filters]);
+        if cfg.batch_norm {
+            parameters.extend([filters, filters]);
+            buffers.extend([filters, filters]);
+        }
+        in_ch = filters;
+    }
+    parameters.extend([
+        features.checked_mul(cfg.dense_units)?,
+        cfg.dense_units,
+        cfg.dense_units.checked_mul(outputs)?,
+        outputs,
+    ]);
+    Some((parameters, buffers))
+}
+
 /// Builds the VVD CNN for the given input image size and configuration.
 ///
 /// # Panics
@@ -123,6 +159,32 @@ mod tests {
         assert!(names.contains(&"MaxPool2d"));
         assert!(names.contains(&"BatchNorm2d"));
         assert!(!names.contains(&"AvgPool2d"));
+    }
+
+    #[test]
+    fn parameter_layout_matches_the_built_network() {
+        let mut rng = StdRng::seed_from_u64(0);
+        for (h, w, batch_norm, pooling) in [
+            (50, 90, false, PoolingKind::Average),
+            (26, 30, true, PoolingKind::Max),
+            (22, 22, true, PoolingKind::Average),
+        ] {
+            let mut cfg = VvdConfig::quick();
+            cfg.conv_filters = 3;
+            cfg.batch_norm = batch_norm;
+            cfg.pooling = pooling;
+            let mut model = build_vvd_cnn(h, w, &cfg, &mut rng);
+            let lengths = |v: Vec<Vec<f32>>| v.iter().map(Vec::len).collect::<Vec<_>>();
+            assert_eq!(
+                parameter_layout(h, w, &cfg),
+                Some((lengths(model.state()), lengths(model.buffers_state())))
+            );
+        }
+        let cfg = VvdConfig::quick();
+        assert_eq!(parameter_layout(8, 8, &cfg), None, "too small");
+        let mut huge = cfg;
+        huge.conv_filters = usize::MAX / 2;
+        assert_eq!(parameter_layout(50, 90, &huge), None, "overflow");
     }
 
     #[test]

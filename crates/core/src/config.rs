@@ -1,9 +1,9 @@
 //! VVD model configuration and presets.
 
-use serde::{Deserialize, Serialize};
+use vvd_dsp::wire::{Decoder, Encoder, WireCodec, WireError};
 
 /// Pooling layer family used between convolution stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolingKind {
     /// 2 × 2 average pooling (the paper's choice).
     Average,
@@ -11,8 +11,26 @@ pub enum PoolingKind {
     Max,
 }
 
+impl WireCodec for PoolingKind {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(match self {
+            PoolingKind::Average => 0,
+            PoolingKind::Max => 1,
+        });
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        match dec.take_u8("pooling kind")? {
+            0 => Ok(PoolingKind::Average),
+            1 => Ok(PoolingKind::Max),
+            _ => Err(WireError::Malformed {
+                context: "pooling kind tag",
+            }),
+        }
+    }
+}
+
 /// Hyper-parameters of the VVD CNN and its training loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VvdConfig {
     /// Number of filters in each convolution layer (paper: 32).
     pub conv_filters: usize,
@@ -36,6 +54,19 @@ pub struct VvdConfig {
     /// RNG seed for weight initialisation and shuffling.
     pub seed: u64,
 }
+
+vvd_dsp::wire_struct!(VvdConfig {
+    conv_filters,
+    dense_units,
+    channel_taps,
+    pooling,
+    batch_norm,
+    epochs,
+    batch_size,
+    learning_rate,
+    lr_decay,
+    seed
+});
 
 impl VvdConfig {
     /// The paper's configuration (Sec. 4): 32 filters, 256 dense units,

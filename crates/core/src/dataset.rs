@@ -1,14 +1,13 @@
 //! Image → CIR sample pairs and tensor assembly.
 
 use crate::preprocess::CirNormalizer;
-use serde::{Deserialize, Serialize};
 use vvd_dsp::FirFilter;
 use vvd_nn::Tensor;
 use vvd_vision::DepthImage;
 
 /// One training/validation/test sample: a preprocessed depth image and the
 /// perfect channel estimate it should map to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VvdSample {
     /// Preprocessed (cropped, normalised) depth image.
     pub image: DepthImage,
@@ -18,7 +17,7 @@ pub struct VvdSample {
 }
 
 /// A set of samples with consistent dimensions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VvdDataset {
     /// The samples.
     pub samples: Vec<VvdSample>,

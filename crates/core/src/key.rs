@@ -18,11 +18,11 @@
 use crate::config::{PoolingKind, VvdConfig};
 use crate::dataset::VvdDataset;
 use crate::variant::VvdVariant;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use vvd_dsp::wire::{Decoder, Encoder, WireCodec, WireError};
 
 /// A stable content digest identifying one trained model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelKey(u64, u64);
 
 impl ModelKey {
@@ -61,6 +61,17 @@ impl ModelKey {
     /// Rebuilds a key from its [`to_parts`](Self::to_parts) halves.
     pub fn from_parts(a: u64, b: u64) -> Self {
         ModelKey(a, b)
+    }
+}
+
+impl WireCodec for ModelKey {
+    fn encode(&self, enc: &mut Encoder) {
+        let (a, b) = self.to_parts();
+        a.encode(enc);
+        b.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(ModelKey::from_parts(u64::decode(dec)?, u64::decode(dec)?))
     }
 }
 

@@ -41,6 +41,6 @@ pub use architecture::build_vvd_cnn;
 pub use config::{PoolingKind, VvdConfig};
 pub use dataset::{VvdDataset, VvdSample};
 pub use key::ModelKey;
-pub use model::{VvdModel, VvdTrainingReport};
+pub use model::{VvdModel, VvdTrainingReport, MODEL_KIND};
 pub use preprocess::{cir_to_targets, targets_to_cir, CirNormalizer};
 pub use variant::VvdVariant;

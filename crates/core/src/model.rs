@@ -5,7 +5,7 @@
 //! epoch selection, and exposes a [`VvdModel::predict_cir`] that returns a
 //! denormalised [`FirFilter`] ready for the shared equalization pipeline.
 
-use crate::architecture::build_vvd_cnn;
+use crate::architecture::{build_vvd_cnn, parameter_layout};
 use crate::config::VvdConfig;
 use crate::dataset::VvdDataset;
 use crate::key::ModelKey;
@@ -13,12 +13,18 @@ use crate::preprocess::CirNormalizer;
 use crate::variant::VvdVariant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use vvd_dsp::wire::{split_frame, write_frame, Decoder, Encoder, WireCodec, WireError};
 use vvd_dsp::FirFilter;
 use vvd_nn::serialize::ModelCheckpoint;
 use vvd_nn::{Nadam, Sequential, Tensor, TrainConfig, Trainer};
 use vvd_vision::DepthImage;
+
+/// Frame kind of a model file, outside the cluster message kinds 1–9 and
+/// the checkpoint kind `0x0100`: a model frame handed to another decoder,
+/// or another frame handed to [`VvdModel::from_frame`], fails with
+/// [`WireError::UnknownKind`].
+pub const MODEL_KIND: u16 = 0x0200;
 
 /// Images per inference chunk of [`VvdModel::predict_batch`]: each chunk is
 /// one sharded network pass, so the chunk bounds the activation buffers
@@ -27,7 +33,7 @@ use vvd_vision::DepthImage;
 const PREDICT_CHUNK: usize = 32;
 
 /// Summary of a VVD training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VvdTrainingReport {
     /// Variant the model was trained for.
     pub variant: VvdVariant,
@@ -42,6 +48,7 @@ pub struct VvdTrainingReport {
 }
 
 /// The immutable state of a trained model, shared between clones.
+#[cfg_attr(test, derive(Clone))]
 struct ModelState {
     network: Sequential,
     normalizer: CirNormalizer,
@@ -68,7 +75,6 @@ pub struct VvdModel {
 /// Serialised form of a trained model: everything needed to rebuild it and
 /// predict bit-identically (architecture + weights + buffers + the
 /// training-set normaliser).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SavedVvdModel {
     variant: VvdVariant,
     config: VvdConfig,
@@ -78,6 +84,16 @@ struct SavedVvdModel {
     key: ModelKey,
     checkpoint: ModelCheckpoint,
 }
+
+vvd_dsp::wire_struct!(SavedVvdModel {
+    variant,
+    config,
+    normalizer,
+    image_height,
+    image_width,
+    key,
+    checkpoint
+});
 
 impl VvdModel {
     /// Trains a VVD model of the given variant on the training dataset,
@@ -244,9 +260,13 @@ impl VvdModel {
         self.predict_batch(dataset.samples.iter().map(|s| &s.image))
     }
 
-    /// Serialises the trained model (architecture tag, weights, buffers,
-    /// normaliser) to JSON — the on-disk format of the model cache.
-    pub fn to_json(&self) -> String {
+    /// Serialises the trained model (architecture tag, weights and buffers
+    /// as raw `f32` bits, normaliser, key) as one wire frame of kind
+    /// [`MODEL_KIND`] — the on-disk format of the model cache.
+    ///
+    /// # Errors
+    /// [`WireError::FrameTooLarge`] when the weights exceed the frame cap.
+    pub fn to_frame(&self) -> Result<Vec<u8>, WireError> {
         let s = &*self.state;
         let tag = architecture_tag(s.variant, &s.config, s.image_height, s.image_width);
         let mut network = s.network.clone();
@@ -260,39 +280,70 @@ impl VvdModel {
             key: s.key,
             checkpoint,
         };
-        serde_json::to_string(&saved).expect("model serialisation cannot fail")
+        let mut payload = Encoder::new();
+        saved.encode(&mut payload);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, MODEL_KIND, &payload.into_bytes())?;
+        Ok(frame)
     }
 
-    /// Restores a model serialised with [`VvdModel::to_json`].  The loaded
+    /// Restores a model saved with [`VvdModel::to_frame`]; the loaded
     /// model predicts bit-identically to the one that was saved.
     ///
+    /// Decoding is total.  The architecture tag and the length of every
+    /// parameter and buffer are checked against what the decoded image
+    /// size and configuration imply before the network is built, so a
+    /// corrupt field can neither panic nor make the build allocate beyond
+    /// the weights the frame holds.
+    ///
     /// # Errors
-    /// Returns an error string on malformed JSON or a checkpoint that does
-    /// not match the architecture it declares.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let saved: SavedVvdModel = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        let tag = architecture_tag(
-            saved.variant,
-            &saved.config,
-            saved.image_height,
-            saved.image_width,
+    /// A typed [`WireError`]: any frame or field error, a frame of another
+    /// kind, and [`WireError::Malformed`] for a model whose weights do not
+    /// fit the architecture it declares.
+    pub fn from_frame(bytes: &[u8]) -> Result<Self, WireError> {
+        let (kind, payload) = split_frame(bytes)?;
+        if kind != MODEL_KIND {
+            return Err(WireError::UnknownKind { found: kind });
+        }
+        let mut dec = Decoder::new(payload);
+        let saved = SavedVvdModel::decode(&mut dec)?;
+        dec.finish()?;
+
+        let (h, w, config) = (saved.image_height, saved.image_width, saved.config);
+        let tag = architecture_tag(saved.variant, &config, h, w);
+        if saved.checkpoint.architecture != tag {
+            return Err(WireError::Malformed {
+                context: "model architecture tag",
+            });
+        }
+        let lengths = |values: &[Vec<f32>]| values.iter().map(Vec::len).collect::<Vec<_>>();
+        let layout = parameter_layout(h, w, &config);
+        let found = (
+            lengths(&saved.checkpoint.parameters),
+            lengths(&saved.checkpoint.buffers),
         );
-        let mut rng = StdRng::seed_from_u64(saved.config.seed);
-        let mut network = build_vvd_cnn(
-            saved.image_height,
-            saved.image_width,
-            &saved.config,
-            &mut rng,
-        );
-        saved.checkpoint.restore(&tag, &mut network)?;
+        if layout.as_ref() != Some(&found) {
+            return Err(WireError::Malformed {
+                context: "model weights do not fit the declared architecture",
+            });
+        }
+
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut network = build_vvd_cnn(h, w, &config, &mut rng);
+        saved
+            .checkpoint
+            .restore(&tag, &mut network)
+            .map_err(|_| WireError::Malformed {
+                context: "model weights do not fit the built network",
+            })?;
         Ok(VvdModel {
             state: Arc::new(ModelState {
                 network,
                 normalizer: saved.normalizer,
-                config: saved.config,
+                config,
                 variant: saved.variant,
-                image_height: saved.image_height,
-                image_width: saved.image_width,
+                image_height: h,
+                image_width: w,
                 key: saved.key,
             }),
         })
@@ -481,7 +532,7 @@ mod tests {
         );
         // The key survives serialisation (the cache and serving layers key
         // disk files and batch plans by it).
-        let restored = VvdModel::from_json(&model.to_json()).unwrap();
+        let restored = VvdModel::from_frame(&model.to_frame().unwrap()).unwrap();
         assert_eq!(restored.key(), model.key());
         // A different provenance yields a different key.
         let (other, _) = VvdModel::train(VvdVariant::Future33ms, &cfg, &train, &val);
@@ -493,8 +544,8 @@ mod tests {
         let train = synthetic_dataset(30, 5);
         let val = synthetic_dataset(8, 1);
         let (model, _) = VvdModel::train(VvdVariant::Future100ms, &tiny_config(), &train, &val);
-        let json = model.to_json();
-        let restored = VvdModel::from_json(&json).expect("roundtrip load");
+        let frame = model.to_frame().unwrap();
+        let restored = VvdModel::from_frame(&frame).expect("roundtrip load");
         assert_eq!(restored.variant(), model.variant());
         assert_eq!(restored.normalizer().factor, model.normalizer().factor);
         for s in &train.samples {
@@ -504,6 +555,52 @@ mod tests {
                 "restored model must predict bit-identically"
             );
         }
-        assert!(VvdModel::from_json("not json").is_err());
+        assert!(VvdModel::from_frame(b"not json").is_err());
+    }
+
+    #[test]
+    fn non_finite_weights_and_normalizer_round_trip_bit_for_bit() {
+        let train = synthetic_dataset(12, 0);
+        let (model, _) = VvdModel::train(
+            VvdVariant::Current,
+            &tiny_config(),
+            &train,
+            &VvdDataset::new(),
+        );
+        let specials = [
+            f32::from_bits(0x7fc0_1234), // NaN with a payload
+            f32::from_bits(0xffc0_0001), // negative NaN with a payload
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1), // the smallest subnormal
+        ];
+        let mut state = (*model.state).clone();
+        let mut parameters = state.network.state();
+        parameters[0][..specials.len()].copy_from_slice(&specials);
+        let last = parameters.len() - 1;
+        parameters[last][..specials.len()].copy_from_slice(&specials);
+        state.network.load_state(&parameters);
+        state.normalizer.factor = f64::from_bits(0x7ff8_dead_beef_0001);
+        let poisoned = VvdModel {
+            state: Arc::new(state),
+        };
+
+        let frame = poisoned.to_frame().unwrap();
+        let restored = VvdModel::from_frame(&frame).expect("non-finite weights load");
+        let bits = |m: &VvdModel| -> Vec<Vec<u32>> {
+            let mut network = m.state.network.clone();
+            network
+                .state()
+                .iter()
+                .map(|p| p.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&restored), bits(&poisoned));
+        assert_eq!(
+            restored.normalizer().factor.to_bits(),
+            0x7ff8_dead_beef_0001
+        );
+        assert_eq!(restored.to_frame().unwrap(), frame);
     }
 }

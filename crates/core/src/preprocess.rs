@@ -8,7 +8,6 @@
 //! training set; the factor is stored so that predictions can be
 //! denormalised before equalization.
 
-use serde::{Deserialize, Serialize};
 use vvd_dsp::{CVec, Complex, FirFilter};
 
 /// Packs a complex CIR into the real target layout of Fig. 6:
@@ -44,11 +43,13 @@ pub fn targets_to_cir(targets: &[f32], norm: f64) -> FirFilter {
 /// Normalisation factor handling: "the normalization is performed by
 /// dividing the CIR values by the maximum absolute valued CIR in the
 /// training set for each set combination" (Sec. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CirNormalizer {
     /// Maximum absolute tap value over the training set.
     pub factor: f64,
 }
+
+vvd_dsp::wire_struct!(CirNormalizer { factor });
 
 impl CirNormalizer {
     /// Computes the normaliser from a training set of CIRs.

@@ -8,14 +8,14 @@
 //! and the "+100 ms" variant the frame captured 100 ms earlier (three camera
 //! frames) — i.e. the model must predict that far into the future.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use vvd_dsp::wire::{Decoder, Encoder, WireCodec, WireError};
 
 /// Camera frame period of the 30 fps ZED capture, in milliseconds.
 pub const FRAME_PERIOD_MS: f64 = 1000.0 / 30.0;
 
 /// Prediction horizon of a VVD model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VvdVariant {
     /// Predict the channel at the time of the input frame.
     Current,
@@ -23,6 +23,26 @@ pub enum VvdVariant {
     Future33ms,
     /// Predict the channel 100 ms (three frames) after the input frame.
     Future100ms,
+}
+
+impl WireCodec for VvdVariant {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(match self {
+            VvdVariant::Current => 0,
+            VvdVariant::Future33ms => 1,
+            VvdVariant::Future100ms => 2,
+        });
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        match dec.take_u8("vvd variant")? {
+            0 => Ok(VvdVariant::Current),
+            1 => Ok(VvdVariant::Future33ms),
+            2 => Ok(VvdVariant::Future100ms),
+            _ => Err(WireError::Malformed {
+                context: "vvd variant tag",
+            }),
+        }
+    }
 }
 
 impl VvdVariant {

@@ -9,11 +9,10 @@
 
 use crate::complex::Complex;
 use crate::cvec::CVec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major complex matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,

@@ -7,13 +7,12 @@
 //! handful of operations: add/sub/mul/div, conjugation, magnitude and
 //! argument.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number in rectangular form with `f64` components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real (in-phase) component.
     pub re: f64,

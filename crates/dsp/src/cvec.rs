@@ -7,11 +7,10 @@
 //! helpers are used for SNR scaling in the channel simulator.
 
 use crate::complex::Complex;
-use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut, Index, IndexMut};
 
 /// A dense complex vector.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CVec(pub Vec<Complex>);
 
 impl CVec {

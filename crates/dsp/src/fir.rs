@@ -8,10 +8,9 @@
 use crate::complex::Complex;
 use crate::convolution::{convolve, convolve_full};
 use crate::cvec::CVec;
-use serde::{Deserialize, Serialize};
 
 /// A finite impulse response filter with complex taps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FirFilter {
     taps: CVec,
 }

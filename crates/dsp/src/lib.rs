@@ -11,9 +11,13 @@
 //! lives in this crate so the higher layers (PHY, channel simulator,
 //! estimators) can share one numerically consistent substrate.
 //!
-//! The crate is dependency-free (besides `serde` for persistence) and fully
-//! synchronous: the workload is small dense algebra (11–64 tap systems), not
-//! I/O, so there is no benefit to an async runtime here.
+//! It also owns the workspace's one binary codec ([`wire`]): every crate
+//! above it encodes its own types as frames of that format, for cluster
+//! messages, engine checkpoints and model files alike.
+//!
+//! The crate is dependency-free and fully synchronous: the workload is
+//! small dense algebra (11–64 tap systems), not I/O, so there is no benefit
+//! to an async runtime here.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -28,6 +32,7 @@ pub mod fir;
 pub mod resample;
 pub mod solve;
 pub mod stats;
+pub mod wire;
 pub mod workers;
 
 pub use cmatrix::CMatrix;

@@ -5,8 +5,6 @@
 //! plus mean, and the free functions cover the mean/variance needs of the
 //! Kalman filter and the evaluation harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -58,7 +56,7 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Five-number summary plus mean, as drawn by a box plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxStats {
     /// Smallest observation.
     pub min: f64,

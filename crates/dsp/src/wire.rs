@@ -2,26 +2,30 @@
 //! length-prefixed frame format and the [`WireCodec`] trait every byte
 //! format implements.
 //!
-//! Two formats ride on it: the cluster messages of `vvd-net` (which
-//! re-exports this module as `vvd_net::wire`) and the engine checkpoints
-//! of [`checkpoint`](crate::checkpoint), one frame of kind
-//! [`CHECKPOINT_KIND`](crate::checkpoint::CHECKPOINT_KIND) each.  Every
-//! value travels as one **frame**:
+//! It lives in the base crate so that every crate can implement
+//! [`WireCodec`] beside its own types.  Three formats ride on it: the
+//! cluster messages of `vvd-net`, the engine checkpoints of `vvd-serve`
+//! (kind `CHECKPOINT_KIND`) and the model files of the `vvd-estimation`
+//! disk cache (kind `MODEL_KIND` in `vvd-core`); `vvd_serve::wire` and
+//! `vvd_net::wire` re-export this module.  Every value travels as one
+//! **frame**:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  = b"VVDN"
-//! 4       2     protocol version (little-endian u16, currently 3)
+//! 4       2     protocol version (little-endian u16, currently 4)
 //! 6       2     kind             (little-endian u16)
 //! 8       4     payload length   (little-endian u32, <= MAX_FRAME_PAYLOAD)
 //! 12      n     payload          ([`WireCodec`]-encoded)
 //! ```
 //!
 //! All integers are little-endian; floats travel as their IEEE-754 bit
-//! patterns ([`f64::to_bits`]), so a decoded value is *bit-identical* to
-//! the encoded one — the property that lets a coordinator merge worker
-//! traces into a report whose digest matches the in-process run exactly,
-//! and a resumed engine continue exactly where its checkpoint stopped.
+//! patterns ([`f64::to_bits`], [`f32::to_bits`]), so a decoded value is
+//! *bit-identical* to the encoded one — NaN payloads, −0 and ±∞ included.
+//! That is the property that lets a coordinator merge worker traces into
+//! a report whose digest matches the in-process run exactly, a resumed
+//! engine continue exactly where its checkpoint stopped, and a model
+//! loaded from disk predict exactly like the one that was saved.
 //!
 //! # Robustness
 //!
@@ -34,25 +38,20 @@
 //! decoded element by element, so a frame cannot force an allocation
 //! larger than the frame itself.
 
-use crate::memo::SynthCounters;
-use crate::planner::BatchCounters;
-use crate::session::SessionSpec;
+use crate::{CVec, Complex, FirFilter};
 use std::fmt;
 use std::io::{Read, Write};
-use vvd_dsp::{CVec, Complex, FirFilter};
-use vvd_estimation::ModelCacheStats;
-use vvd_phy::DecodeOutcome;
-use vvd_testbed::stream::EstimatorTrace;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"VVDN";
 
 /// Version of the wire protocol (frame header field).
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on a frame's payload size (64 MiB).  Large enough for any
-/// serve trace or checkpoint the workspace produces, small enough that a
-/// corrupt or hostile length prefix cannot drive an enormous allocation.
+/// serve trace, checkpoint or model the workspace produces, small enough
+/// that a corrupt or hostile length prefix cannot drive an enormous
+/// allocation.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 /// Size of the frame header (magic, version, kind, payload length).
@@ -83,8 +82,8 @@ pub enum WireError {
         found: u16,
     },
     /// The frame header named a kind this build does not know, or not the
-    /// kind the reader expected (a message frame handed to the checkpoint
-    /// decoder, or the reverse).
+    /// kind the reader expected (a message, checkpoint or model frame
+    /// handed to another format's decoder).
     UnknownKind {
         /// The kind tag actually found.
         found: u16,
@@ -365,6 +364,15 @@ impl WireCodec for f64 {
     }
 }
 
+impl WireCodec for f32 {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u32(self.to_bits());
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(f32::from_bits(dec.take_u32("f32")?))
+    }
+}
+
 impl WireCodec for String {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u32(self.len() as u32);
@@ -512,7 +520,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), WireError> {
 /// [`WireError::Truncated`] when `bytes` ends before the declared payload
 /// does, [`WireError::TrailingBytes`] when it runs past it, and any header
 /// error.
-pub(crate) fn split_frame(bytes: &[u8]) -> Result<(u16, &[u8]), WireError> {
+pub fn split_frame(bytes: &[u8]) -> Result<(u16, &[u8]), WireError> {
     let Some((header, payload)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Err(WireError::Truncated {
             context: "frame header",
@@ -532,20 +540,45 @@ pub(crate) fn split_frame(bytes: &[u8]) -> Result<(u16, &[u8]), WireError> {
     Ok((kind, payload))
 }
 
-// ---------------------------------------------------------------------------
-// Workspace value types.  The orphan rule puts the impls for types of other
-// crates beside the trait; serve's own counters and specs sit with them.
-// ---------------------------------------------------------------------------
-
-impl WireCodec for Complex {
-    fn encode(&self, enc: &mut Encoder) {
-        self.re.encode(enc);
-        self.im.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(Complex::new(f64::decode(dec)?, f64::decode(dec)?))
-    }
+/// Implements [`WireCodec`] for a struct whose encoding is its fields'
+/// encodings in the listed order, with no validation beyond theirs.
+///
+/// ```
+/// use vvd_dsp::wire::{Decoder, Encoder, WireCodec};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     start: u64,
+///     len: u32,
+/// }
+/// vvd_dsp::wire_struct!(Span { start, len });
+///
+/// let mut enc = Encoder::new();
+/// Span { start: 7, len: 2 }.encode(&mut enc);
+/// let bytes = enc.into_bytes();
+/// assert_eq!(bytes.len(), 12);
+/// let span = Span::decode(&mut Decoder::new(&bytes)).unwrap();
+/// assert_eq!(span, Span { start: 7, len: 2 });
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::wire::WireCodec for $ty {
+            fn encode(&self, enc: &mut $crate::wire::Encoder) {
+                $($crate::wire::WireCodec::encode(&self.$field, enc);)*
+            }
+            fn decode(
+                dec: &mut $crate::wire::Decoder<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok($ty {
+                    $($field: $crate::wire::WireCodec::decode(dec)?,)*
+                })
+            }
+        }
+    };
 }
+
+wire_struct!(Complex { re, im });
 
 impl WireCodec for FirFilter {
     fn encode(&self, enc: &mut Encoder) {
@@ -553,110 +586,6 @@ impl WireCodec for FirFilter {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(FirFilter::new(CVec(Vec::decode(dec)?)))
-    }
-}
-
-impl WireCodec for DecodeOutcome {
-    fn encode(&self, enc: &mut Encoder) {
-        self.crc_ok.encode(enc);
-        self.chip_errors.encode(enc);
-        self.chip_count.encode(enc);
-        self.symbol_errors.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(DecodeOutcome {
-            crc_ok: bool::decode(dec)?,
-            chip_errors: usize::decode(dec)?,
-            chip_count: usize::decode(dec)?,
-            symbol_errors: usize::decode(dec)?,
-        })
-    }
-}
-
-impl WireCodec for EstimatorTrace {
-    fn encode(&self, enc: &mut Encoder) {
-        self.label.encode(enc);
-        self.scored.encode(enc);
-        self.per_packet.encode(enc);
-        self.estimates.encode(enc);
-        self.truths.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(EstimatorTrace {
-            label: String::decode(dec)?,
-            scored: Vec::decode(dec)?,
-            per_packet: Vec::decode(dec)?,
-            estimates: Vec::decode(dec)?,
-            truths: Vec::decode(dec)?,
-        })
-    }
-}
-
-impl WireCodec for SessionSpec {
-    fn encode(&self, enc: &mut Encoder) {
-        self.scenario.encode(enc);
-        self.estimator.encode(enc);
-        self.interval_ticks.encode(enc);
-        self.offset_ticks.encode(enc);
-        self.combination.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(SessionSpec {
-            scenario: String::decode(dec)?,
-            estimator: String::decode(dec)?,
-            interval_ticks: u64::decode(dec)?,
-            offset_ticks: u64::decode(dec)?,
-            combination: usize::decode(dec)?,
-        })
-    }
-}
-
-impl WireCodec for BatchCounters {
-    fn encode(&self, enc: &mut Encoder) {
-        self.batch_calls.encode(enc);
-        self.images.encode(enc);
-        self.max_batch.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(BatchCounters {
-            batch_calls: u64::decode(dec)?,
-            images: u64::decode(dec)?,
-            max_batch: usize::decode(dec)?,
-        })
-    }
-}
-
-impl WireCodec for SynthCounters {
-    fn encode(&self, enc: &mut Encoder) {
-        self.requests.encode(enc);
-        self.syntheses.encode(enc);
-        self.peak_resident_bytes.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(SynthCounters {
-            requests: u64::decode(dec)?,
-            syntheses: u64::decode(dec)?,
-            peak_resident_bytes: u64::decode(dec)?,
-        })
-    }
-}
-
-impl WireCodec for ModelCacheStats {
-    fn encode(&self, enc: &mut Encoder) {
-        self.hits.encode(enc);
-        self.disk_hits.encode(enc);
-        self.misses.encode(enc);
-        self.evictions.encode(enc);
-        self.entries.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ModelCacheStats {
-            hits: u64::decode(dec)?,
-            disk_hits: u64::decode(dec)?,
-            misses: u64::decode(dec)?,
-            evictions: u64::decode(dec)?,
-            entries: usize::decode(dec)?,
-        })
     }
 }
 

@@ -12,11 +12,14 @@
 //! are indistinguishable.
 //!
 //! The cache is two-level: an in-memory map (optionally LRU-bounded) and an
-//! optional on-disk directory of `<key>.json` files written with
-//! [`VvdModel::to_json`], which persists trainings across processes.  All
-//! operations are `&self` behind a mutex, so one cache can be shared across
-//! the worker threads of a sweep.  Hit/miss/eviction counters are exposed
-//! through [`ModelCache::stats`] and surfaced in sweep reports.
+//! optional on-disk directory of `<key>.vvdm` files, each one wire frame
+//! written with [`VvdModel::to_frame`] (weights as raw `f32` bits), which
+//! persists trainings across processes.  A file that does not decode, or
+//! that decodes to a model filed under another key, is a plain miss: the
+//! model retrains and the file is overwritten.  All operations are `&self`
+//! behind a mutex, so one cache can be shared across the worker threads of
+//! a sweep.  Hit/miss/eviction counters are exposed through
+//! [`ModelCache::stats`] and surfaced in sweep reports.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -37,6 +40,14 @@ pub struct ModelCacheStats {
     /// Models currently held in memory.
     pub entries: usize,
 }
+
+vvd_dsp::wire_struct!(ModelCacheStats {
+    hits,
+    disk_hits,
+    misses,
+    evictions,
+    entries
+});
 
 impl ModelCacheStats {
     /// Total lookups served.
@@ -108,7 +119,7 @@ impl ModelCache {
         }
     }
 
-    /// Adds an on-disk layer: misses consult `dir/<key>.json` before
+    /// Adds an on-disk layer: misses consult `dir/<key>.vvdm` before
     /// training, and freshly trained models are written there (best
     /// effort — I/O errors fall back to memory-only operation).
     pub fn with_disk_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -192,13 +203,17 @@ impl ModelCache {
     fn disk_path(&self, key: ModelKey) -> Option<PathBuf> {
         self.disk_dir
             .as_ref()
-            .map(|dir| dir.join(format!("{}.json", key.to_hex())))
+            .map(|dir| dir.join(format!("{}.vvdm", key.to_hex())))
     }
 
+    /// The model filed under `key`, if its file decodes to a model with
+    /// that key: a file copied or renamed into place is a miss, so a hit
+    /// always equals a fresh training.
     fn load_from_disk(&self, key: ModelKey) -> Option<VvdModel> {
-        let path = self.disk_path(key)?;
-        let json = std::fs::read_to_string(path).ok()?;
-        VvdModel::from_json(&json).ok()
+        let bytes = std::fs::read(self.disk_path(key)?).ok()?;
+        VvdModel::from_frame(&bytes)
+            .ok()
+            .filter(|model| model.key() == key)
     }
 
     fn store_to_disk(&self, key: ModelKey, model: &VvdModel) {
@@ -218,7 +233,10 @@ impl ModelCache {
         static PUBLISH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = PUBLISH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp-{}-{seq}", std::process::id()));
-        if std::fs::write(&tmp, model.to_json()).is_ok() && std::fs::rename(&tmp, &path).is_err() {
+        let Ok(frame) = model.to_frame() else {
+            return;
+        };
+        if std::fs::write(&tmp, frame).is_ok() && std::fs::rename(&tmp, &path).is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
     }
@@ -242,6 +260,7 @@ fn touch(lru: &mut VecDeque<ModelKey>, key: ModelKey) {
 mod tests {
     use super::*;
     use vvd_core::{VvdConfig, VvdDataset, VvdSample, VvdVariant};
+    use vvd_dsp::wire::{write_frame, WireError};
     use vvd_dsp::{Complex, FirFilter};
     use vvd_vision::DepthImage;
 
@@ -403,36 +422,86 @@ mod tests {
         let (key, model, report) = train_pair(3);
         let probe = dataset(1, 3).samples[0].image.clone();
         let expected = model.predict_cir(&probe);
-        let path = dir.join(format!("{}.json", key.to_hex()));
+        let path = dir.join(format!("{}.vvdm", key.to_hex()));
 
-        for garbage in ["not json at all", "{\"variant\":", ""] {
-            std::fs::write(&path, garbage).unwrap();
+        let full = model.to_frame().unwrap();
+        // A frame of the checkpoint kind (0x0100) holding an empty engine
+        // checkpoint: ticks, three batch counters, no sessions.
+        let mut checkpoint = Vec::new();
+        write_frame(&mut checkpoint, 0x0100, &[0; 36]).unwrap();
+        // The model frame with its first parameter one weight short, and
+        // the length prefixes of that parameter and of the frame to match:
+        // well-formed bytes, but weights that do not fit the architecture.
+        let mut short = full.clone();
+        let tag = short.windows(8).position(|w| w == b"vvd-cnn:").unwrap();
+        let tag_len = u32::from_le_bytes(short[tag - 4..tag].try_into().unwrap()) as usize;
+        let at = tag + tag_len + 4;
+        let weights = u32::from_le_bytes(short[at..at + 4].try_into().unwrap());
+        short[at..at + 4].copy_from_slice(&(weights - 1).to_le_bytes());
+        let last = at + 4 * weights as usize;
+        short.drain(last..last + 4);
+        let payload_len = (short.len() - 12) as u32;
+        short[8..12].copy_from_slice(&payload_len.to_le_bytes());
+        assert!(matches!(
+            VvdModel::from_frame(&short),
+            Err(WireError::Malformed { .. })
+        ));
+
+        let cases: [(&str, &[u8]); 5] = [
+            ("an empty file", b""),
+            ("bytes that are not a frame", b"not a frame at all"),
+            ("a truncated model frame", &full[..full.len() / 2]),
+            ("a checkpoint frame", &checkpoint),
+            ("a parameter one weight short", &short),
+        ];
+        for (case, bytes) in cases {
+            std::fs::write(&path, bytes).unwrap();
             let cache = ModelCache::new().with_disk_dir(&dir);
             let (loaded, retrained) = cache.get_or_train(key, || (model.clone(), report.clone()));
-            assert!(
-                retrained.is_some(),
-                "a corrupt entry ({garbage:?}) must retrain, not panic"
-            );
+            assert!(retrained.is_some(), "{case} must retrain, not panic");
             let stats = cache.stats();
             assert_eq!(
                 (stats.hits, stats.disk_hits, stats.misses),
                 (0, 0, 1),
-                "a corrupt entry counts as a plain miss"
+                "{case} counts as a plain miss"
             );
             assert_eq!(loaded.predict_cir(&probe).taps(), expected.taps());
-        }
 
-        // A truncated valid document (half of a real serialisation) is
-        // also just a miss — and retraining heals the on-disk entry.
-        let full = model.to_json();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let cache = ModelCache::new().with_disk_dir(&dir);
-        let (_, retrained) = cache.get_or_train(key, || (model.clone(), report.clone()));
-        assert!(retrained.is_some(), "a truncated entry must retrain");
+            // Retraining healed the on-disk entry.
+            let healed = ModelCache::new().with_disk_dir(&dir);
+            let (_, from_disk) = healed.get_or_train(key, || panic!("healed entry must load"));
+            assert!(from_disk.is_none(), "{case} was not healed");
+            assert_eq!(healed.stats().disk_hits, 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_model_filed_under_another_key_is_a_miss() {
+        let dir =
+            std::env::temp_dir().join(format!("vvd-model-cache-key-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (key_a, model_a, report_a) = train_pair(5);
+        let (key_b, model_b, report_b) = train_pair(6);
+        let file = |key: ModelKey| dir.join(format!("{}.vvdm", key.to_hex()));
+
+        let warm = ModelCache::new().with_disk_dir(&dir);
+        let _ = warm.get_or_train(key_a, || (model_a.clone(), report_a.clone()));
+        std::fs::copy(file(key_a), file(key_b)).unwrap();
+
+        // B's file holds A: serving it would hand out another provenance.
+        let cold = ModelCache::new().with_disk_dir(&dir);
+        let (loaded, retrained) = cold.get_or_train(key_b, || (model_b.clone(), report_b.clone()));
+        assert!(retrained.is_some(), "a model filed under B's key is not B");
+        assert_eq!(loaded.key(), key_b);
+        let stats = cold.stats();
+        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (0, 0, 1));
+
+        // The retraining overwrote the file with B itself.
         let healed = ModelCache::new().with_disk_dir(&dir);
-        let (_, from_disk) = healed.get_or_train(key, || panic!("healed entry must load"));
-        assert!(from_disk.is_none());
-        assert_eq!(healed.stats().disk_hits, 1);
+        let (from_disk, report) = healed.get_or_train(key_b, || panic!("B's file must load"));
+        assert!(report.is_none());
+        assert_eq!(from_disk.key(), key_b);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -490,7 +559,7 @@ mod tests {
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| !name.ends_with(".json"))
+            .filter(|name| !name.ends_with(".vvdm"))
             .collect();
         assert!(
             leftovers.is_empty(),

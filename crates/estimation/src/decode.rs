@@ -10,12 +10,11 @@
 use crate::ls::preamble_estimate;
 use crate::phase::align_mean_phase;
 use crate::zf::ZfEqualizer;
-use serde::{Deserialize, Serialize};
 use vvd_dsp::{Complex, FirFilter};
 use vvd_phy::{DecodeOutcome, ModulatedFrame, Receiver};
 
 /// Configuration of the equalization stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EqualizerConfig {
     /// Number of taps of the zero-forcing equalizer (`L` in Eq. 6).
     pub equalizer_taps: usize,
@@ -28,6 +27,12 @@ pub struct EqualizerConfig {
     /// prediction.
     pub align_phase: bool,
 }
+
+vvd_dsp::wire_struct!(EqualizerConfig {
+    equalizer_taps,
+    channel_taps,
+    align_phase
+});
 
 impl Default for EqualizerConfig {
     fn default() -> Self {

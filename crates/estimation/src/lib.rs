@@ -69,6 +69,6 @@ pub use ls::{ls_estimate, perfect_estimate, preamble_estimate};
 pub use metrics::{chip_error_rate, mean_squared_error, packet_error_rate};
 pub use phase::align_mean_phase;
 pub use registry::{EstimatorRegistry, SpecError};
-pub use state::{EstimatorState, KalmanTapState, StateError};
+pub use state::{EstimatorState, KalmanTapState, StateError, MAX_STATE_DEPTH};
 pub use techniques::{spec_label, Technique};
 pub use zf::ZfEqualizer;

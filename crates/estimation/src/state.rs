@@ -29,7 +29,17 @@
 use std::error::Error;
 use std::fmt;
 use vvd_core::ModelKey;
+use vvd_dsp::wire::{Decoder, Encoder, WireCodec, WireError};
 use vvd_dsp::{Complex, FirFilter};
+
+/// Most levels an [`EstimatorState`] tree may have in a frame (a leaf is
+/// one level, each enclosing fallback one more).  The decoder refuses
+/// deeper trees, so encoders check [`EstimatorState::check_depth`] before
+/// writing one.
+pub const MAX_STATE_DEPTH: usize = 16;
+
+/// Why a state tree is refused, on encode and on decode alike.
+const TOO_DEEP: &str = "estimator state nesting too deep";
 
 /// Streaming state of one per-tap Kalman filter, exported from
 /// [`KalmanTapFilter`](crate::kalman::KalmanTapFilter).
@@ -46,6 +56,12 @@ pub struct KalmanTapState {
     /// Recent observations, newest first (length ≤ AR order).
     pub history: Vec<Complex>,
 }
+
+vvd_dsp::wire_struct!(KalmanTapState {
+    state,
+    cov,
+    history
+});
 
 /// The serializable streaming state of a
 /// [`ChannelEstimator`](crate::ChannelEstimator), one variant per state
@@ -105,6 +121,93 @@ impl EstimatorState {
             EstimatorState::Fallback { .. } => "fallback",
         }
     }
+
+    /// Levels of the tree: one for a leaf, one more per enclosing
+    /// fallback.
+    fn depth(&self) -> usize {
+        match self {
+            EstimatorState::Fallback { primary, secondary } => {
+                1 + primary.depth().max(secondary.depth())
+            }
+            _ => 1,
+        }
+    }
+
+    /// Refuses a tree deeper than [`MAX_STATE_DEPTH`] with the error its
+    /// decoder would return, so no frame is written that cannot be read.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] for a tree that is too deep.
+    pub fn check_depth(&self) -> Result<(), WireError> {
+        if self.depth() > MAX_STATE_DEPTH {
+            return Err(WireError::Malformed { context: TOO_DEEP });
+        }
+        Ok(())
+    }
+}
+
+impl WireCodec for EstimatorState {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            EstimatorState::Stateless => enc.put_u8(0),
+            EstimatorState::Previous { history } => {
+                enc.put_u8(1);
+                history.encode(enc);
+            }
+            EstimatorState::AgedPreamble { history } => {
+                enc.put_u8(2);
+                history.encode(enc);
+            }
+            EstimatorState::Kalman { taps } => {
+                enc.put_u8(3);
+                taps.encode(enc);
+            }
+            EstimatorState::Vvd { key } => {
+                enc.put_u8(4);
+                key.encode(enc);
+            }
+            EstimatorState::Fallback { primary, secondary } => {
+                enc.put_u8(5);
+                primary.encode(enc);
+                secondary.encode(enc);
+            }
+        }
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        decode_state(dec, 1)
+    }
+}
+
+/// Decodes a state tree whose root sits at level `depth`, refusing any
+/// level past [`MAX_STATE_DEPTH`] before reading it.
+fn decode_state(dec: &mut Decoder<'_>, depth: usize) -> Result<EstimatorState, WireError> {
+    if depth > MAX_STATE_DEPTH {
+        return Err(WireError::Malformed { context: TOO_DEEP });
+    }
+    Ok(match dec.take_u8("estimator state tag")? {
+        0 => EstimatorState::Stateless,
+        1 => EstimatorState::Previous {
+            history: Vec::decode(dec)?,
+        },
+        2 => EstimatorState::AgedPreamble {
+            history: Vec::decode(dec)?,
+        },
+        3 => EstimatorState::Kalman {
+            taps: Vec::decode(dec)?,
+        },
+        4 => EstimatorState::Vvd {
+            key: Option::decode(dec)?,
+        },
+        5 => EstimatorState::Fallback {
+            primary: Box::new(decode_state(dec, depth + 1)?),
+            secondary: Box::new(decode_state(dec, depth + 1)?),
+        },
+        _ => {
+            return Err(WireError::Malformed {
+                context: "estimator state tag",
+            })
+        }
+    })
 }
 
 /// Why an estimator rejected a state in

@@ -5,11 +5,10 @@
 //! techniques appear in which figure; the evaluation harness in
 //! `vvd-testbed` iterates over these values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A channel estimation technique from the paper's comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technique {
     /// IEEE 802.15.4 standard decoding: no estimation, no equalization.
     StandardDecoding,

@@ -132,8 +132,6 @@ impl Default for ClusterOptions {
 pub enum ClusterError {
     /// The workload specs failed validation (nothing was spawned).
     Spec(ServeSpecError),
-    /// The campaign configuration could not be serialized for transport.
-    Config(String),
     /// A worker process could not be spawned.
     Spawn(std::io::Error),
     /// The link to a worker failed (transport or codec).
@@ -167,7 +165,6 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Spec(e) => write!(f, "invalid workload: {e}"),
-            ClusterError::Config(msg) => write!(f, "config serialization failed: {msg}"),
             ClusterError::Spawn(e) => write!(f, "worker spawn failed: {e}"),
             ClusterError::Wire { worker, error } => {
                 write!(f, "link to worker {worker} failed: {error}")
@@ -333,8 +330,6 @@ pub fn serve_cluster_detailed(
 
     let generator = LoadGenerator::new(*config);
     generator.validate(specs)?;
-    let config_json =
-        serde_json::to_string(config).map_err(|e| ClusterError::Config(e.to_string()))?;
 
     let workers = options.workers.max(1);
     let granularity = options.granularity.max(1);
@@ -364,7 +359,7 @@ pub fn serve_cluster_detailed(
             worker_index: w as u32,
             shards: options.shards.max(1) as u32,
             cache_dir: cache_dir.clone(),
-            config_json: config_json.clone(),
+            config: *config,
             sessions: sessions.clone(),
             checkpoints,
         })

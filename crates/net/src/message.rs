@@ -18,14 +18,18 @@
 //! Payload encodings are deterministic little-endian ([`WireCodec`]);
 //! floats travel as IEEE-754 bit patterns, so the traces a coordinator
 //! collects are **bit-identical** to the worker's in-memory traces — the
-//! foundation of the cluster-equals-single-process digest guarantee.
-//! Messages carry serve's own types ([`SessionSpec`], [`EstimatorTrace`],
-//! the run counters), encoded by their impls in [`wire`](crate::wire).
+//! foundation of the cluster-equals-single-process digest guarantee — and
+//! a worker rebuilds its campaign from the very [`EvalConfig`] bits the
+//! coordinator holds.  Messages carry the workspace's own types
+//! ([`SessionSpec`], [`EstimatorTrace`], [`EvalConfig`], the run
+//! counters), each encoded by the impl beside its type.
 
 use crate::wire::{Decoder, Encoder, WireCodec, WireError};
+use vvd_dsp::wire_struct;
 use vvd_estimation::ModelCacheStats;
 use vvd_serve::{BatchCounters, SessionSpec, SynthCounters};
 use vvd_testbed::stream::EstimatorTrace;
+use vvd_testbed::EvalConfig;
 
 /// First frame a worker sends: proves the channel is alive and framed
 /// correctly before any work is assigned.
@@ -48,7 +52,7 @@ pub struct AssignedSession {
 /// The coordinator's work order: everything a worker needs to rebuild its
 /// session subset bit-identically to the corresponding slice of the
 /// single-process workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssignSessions {
     /// Index of this worker in the cluster (0-based).
     pub worker_index: u32,
@@ -56,10 +60,8 @@ pub struct AssignSessions {
     pub shards: u32,
     /// Shared on-disk model cache directory, when the cluster uses one.
     pub cache_dir: Option<String>,
-    /// The campaign/evaluation configuration, serialized as JSON
-    /// (`vvd_testbed::EvalConfig`; serde's shortest-round-trip float
-    /// formatting restores every `f64` bit-exactly).
-    pub config_json: String,
+    /// The campaign/evaluation configuration.
+    pub config: EvalConfig,
     /// The assigned sessions, in ascending global-id order.
     pub sessions: Vec<AssignedSession>,
     /// When `true`, the worker sends a [`CheckpointFrame`] before every
@@ -125,7 +127,7 @@ pub struct CheckpointFrame {
 /// assignment plus the last good checkpoint frame to resume from (`None`
 /// when the worker died before its first checkpoint — the replacement
 /// starts from scratch).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResumeSessions {
     /// The original assignment, verbatim.
     pub assign: AssignSessions,
@@ -235,129 +237,67 @@ impl Message {
     }
 }
 
-impl WireCodec for Hello {
-    fn encode(&self, enc: &mut Encoder) {
-        self.pid.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(Hello {
-            pid: u64::decode(dec)?,
-        })
-    }
-}
+wire_struct!(Hello { pid });
 
-impl WireCodec for AssignedSession {
-    fn encode(&self, enc: &mut Encoder) {
-        self.id.encode(enc);
-        self.spec.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(AssignedSession {
-            id: u64::decode(dec)?,
-            spec: SessionSpec::decode(dec)?,
-        })
-    }
-}
+wire_struct!(AssignedSession { id, spec });
 
-impl WireCodec for AssignSessions {
-    fn encode(&self, enc: &mut Encoder) {
-        self.worker_index.encode(enc);
-        self.shards.encode(enc);
-        self.cache_dir.encode(enc);
-        self.config_json.encode(enc);
-        self.sessions.encode(enc);
-        self.checkpoints.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(AssignSessions {
-            worker_index: u32::decode(dec)?,
-            shards: u32::decode(dec)?,
-            cache_dir: Option::<String>::decode(dec)?,
-            config_json: String::decode(dec)?,
-            sessions: Vec::<AssignedSession>::decode(dec)?,
-            checkpoints: bool::decode(dec)?,
-        })
-    }
-}
+wire_struct!(AssignSessions {
+    worker_index,
+    shards,
+    cache_dir,
+    config,
+    sessions,
+    checkpoints
+});
 
-impl WireCodec for CheckpointFrame {
-    fn encode(&self, enc: &mut Encoder) {
-        self.frame.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(CheckpointFrame {
-            frame: Vec::<u8>::decode(dec)?,
-        })
-    }
-}
+wire_struct!(CheckpointFrame { frame });
 
-impl WireCodec for ResumeSessions {
-    fn encode(&self, enc: &mut Encoder) {
-        self.assign.encode(enc);
-        self.frame.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ResumeSessions {
-            assign: AssignSessions::decode(dec)?,
-            frame: Option::<Vec<u8>>::decode(dec)?,
-        })
-    }
-}
+wire_struct!(ResumeSessions { assign, frame });
 
-impl WireCodec for TickBarrier {
-    fn encode(&self, enc: &mut Encoder) {
-        self.ticks.encode(enc);
-        self.done.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(TickBarrier {
-            ticks: u64::decode(dec)?,
-            done: bool::decode(dec)?,
-        })
-    }
-}
+wire_struct!(TickBarrier { ticks, done });
 
-impl WireCodec for SessionReport {
-    fn encode(&self, enc: &mut Encoder) {
-        self.id.encode(enc);
-        self.scenario.encode(enc);
-        self.packets_streamed.encode(enc);
-        self.trace.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(SessionReport {
-            id: u64::decode(dec)?,
-            scenario: String::decode(dec)?,
-            packets_streamed: u64::decode(dec)?,
-            trace: EstimatorTrace::decode(dec)?,
-        })
-    }
-}
+wire_struct!(SessionReport {
+    id,
+    scenario,
+    packets_streamed,
+    trace
+});
 
-impl WireCodec for CacheStats {
-    fn encode(&self, enc: &mut Encoder) {
-        self.ticks.encode(enc);
-        self.cache.encode(enc);
-        self.batches.encode(enc);
-        self.synth.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(CacheStats {
-            ticks: u64::decode(dec)?,
-            cache: ModelCacheStats::decode(dec)?,
-            batches: BatchCounters::decode(dec)?,
-            synth: SynthCounters::decode(dec)?,
-        })
-    }
-}
+wire_struct!(CacheStats {
+    ticks,
+    cache,
+    batches,
+    synth
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{read_frame, write_frame};
+    use vvd_core::{VvdConfig, VvdDataset, VvdModel, VvdSample, VvdVariant, MODEL_KIND};
     use vvd_dsp::{Complex, FirFilter};
     use vvd_phy::DecodeOutcome;
     use vvd_serve::{CheckpointError, EngineCheckpoint, CHECKPOINT_KIND};
+    use vvd_vision::DepthImage;
+
+    /// The model-file frame of a small trained network.
+    fn model_frame() -> Vec<u8> {
+        let mut config = VvdConfig::quick();
+        (config.conv_filters, config.dense_units, config.channel_taps) = (2, 4, 2);
+        config.epochs = 1;
+        let mut train = VvdDataset::new();
+        for k in 0..4 {
+            train.push(VvdSample {
+                image: DepthImage::filled(30, 26, 0.2 * k as f32),
+                target_cir: FirFilter::from_taps(&[
+                    Complex::new(1e-3, 0.0),
+                    Complex::new(0.0, 1e-4),
+                ]),
+            });
+        }
+        let (model, _) = VvdModel::train(VvdVariant::Current, &config, &train, &VvdDataset::new());
+        model.to_frame().unwrap()
+    }
 
     fn sample_messages() -> Vec<Message> {
         vec![
@@ -366,7 +306,7 @@ mod tests {
                 worker_index: 2,
                 shards: 4,
                 cache_dir: Some("/tmp/cache".into()),
-                config_json: "{\"n_sets\":3}".into(),
+                config: EvalConfig::smoke(),
                 sessions: vec![AssignedSession {
                     id: 7,
                     spec: SessionSpec {
@@ -435,7 +375,7 @@ mod tests {
                     worker_index: 0,
                     shards: 1,
                     cache_dir: None,
-                    config_json: "{}".into(),
+                    config: EvalConfig::paper(),
                     sessions: vec![],
                     checkpoints: true,
                 },
@@ -493,7 +433,37 @@ mod tests {
                 "{} frame decoded as a checkpoint",
                 msg.name()
             );
+            assert!(
+                matches!(
+                    VvdModel::from_frame(&frame),
+                    Err(WireError::UnknownKind { found }) if found == msg.kind()
+                ),
+                "{} frame decoded as a model",
+                msg.name()
+            );
         }
+
+        // Model files share the format too, under a kind of their own.
+        assert!(!kinds.contains(&MODEL_KIND) && MODEL_KIND != CHECKPOINT_KIND);
+        assert!(matches!(
+            VvdModel::from_frame(&frame),
+            Err(WireError::UnknownKind {
+                found: CHECKPOINT_KIND
+            })
+        ));
+        let model = model_frame();
+        assert!(VvdModel::from_frame(&model).is_ok());
+        let (kind, payload) = read_frame(&mut model.as_slice()).unwrap();
+        assert!(matches!(
+            Message::decode_payload(kind, &payload),
+            Err(WireError::UnknownKind { found: MODEL_KIND })
+        ));
+        assert!(matches!(
+            EngineCheckpoint::from_frame(&model),
+            Err(CheckpointError::Wire(WireError::UnknownKind {
+                found: MODEL_KIND
+            }))
+        ));
     }
 
     #[test]

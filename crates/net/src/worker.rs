@@ -21,7 +21,6 @@ use crate::transport::{StdioTransport, Transport};
 use crate::wire::WireError;
 use vvd_estimation::ModelCache;
 use vvd_serve::{EngineCheckpoint, LoadGenerator, ServeEngine, ServeOptions, SessionSpec};
-use vvd_testbed::EvalConfig;
 
 /// Argument sentinel that switches a self-executing binary into worker
 /// mode (see [`maybe_run_worker`]).
@@ -169,9 +168,6 @@ fn build_engine(
     assign: &AssignSessions,
     resume_frame: Option<&[u8]>,
 ) -> Result<ServeEngine, String> {
-    let config: EvalConfig = serde_json::from_str(&assign.config_json)
-        .map_err(|e| format!("invalid campaign config: {e}"))?;
-
     let mut cache = ModelCache::new();
     if let Some(dir) = &assign.cache_dir {
         cache = cache.with_disk_dir(dir);
@@ -183,7 +179,7 @@ fn build_engine(
         .map(|s| (s.id as usize, s.spec.clone()))
         .collect();
 
-    let workload = LoadGenerator::new(config)
+    let workload = LoadGenerator::new(assign.config)
         .build_assigned(&assigned, cache)
         .map_err(|e| format!("workload build failed: {e}"))?;
 

@@ -1,12 +1,15 @@
-//! Property suite for the one wire codec, over both byte formats that
-//! ride on it — cluster messages and engine checkpoint frames: whatever
-//! bytes arrive, decoding is total — it returns a value or a typed
-//! [`WireError`], never panics, never hangs, never allocates from an
-//! untrusted length — and whatever *valid* value leaves, it round-trips
+//! Property suite for the one wire codec, over the three byte formats
+//! that ride on it — cluster messages, engine checkpoint frames and model
+//! files: whatever bytes arrive, decoding is total — it returns a value or
+//! a typed [`WireError`], never panics, never hangs, never allocates from
+//! an untrusted length — and whatever *valid* value leaves, it round-trips
 //! bit-exactly.
 
 use proptest::prelude::*;
-use vvd_core::ModelKey;
+use std::sync::OnceLock;
+use vvd_core::{
+    ModelKey, PoolingKind, VvdConfig, VvdDataset, VvdModel, VvdSample, VvdVariant, MODEL_KIND,
+};
 use vvd_estimation::{EstimatorState, KalmanTapState, ModelCacheStats};
 use vvd_net::message::{
     AssignSessions, AssignedSession, CacheStats, CheckpointFrame, Hello, Message, ResumeSessions,
@@ -20,6 +23,8 @@ use vvd_serve::{
     SynthCounters, CHECKPOINT_KIND,
 };
 use vvd_testbed::stream::EstimatorTrace;
+use vvd_testbed::EvalConfig;
+use vvd_vision::DepthImage;
 
 /// A random-but-valid message assembled from drawn primitives.  Floats are
 /// drawn as raw bit patterns (NaNs and infinities included), so round
@@ -44,7 +49,7 @@ fn build_message(selector: usize, words: &[u64], text: &str, flags: (bool, bool)
         worker_index: word(0) as u32,
         shards: word(1) as u32,
         cache_dir: flags.0.then(|| text.to_string()),
-        config_json: text.to_string(),
+        config: eval_config(&word),
         sessions: (0..words.len() % 4)
             .map(|i| AssignedSession {
                 id: word(i),
@@ -125,6 +130,111 @@ fn float_from(w: u64) -> f64 {
         3 => f64::INFINITY.to_bits() | (w & 1) << 63,
         _ => w,
     })
+}
+
+/// An `f32` from a drawn word, with the same specials as [`float_from`].
+fn float32_from(w: u64) -> f32 {
+    f32::from_bits(match w % 8 {
+        0 => 0x7FC0_0000 | (w >> 8) as u32 & 0x3F_FFFF,
+        1 => 0x7F80_0001,
+        2 => (-0.0f32).to_bits(),
+        3 => f32::INFINITY.to_bits() | ((w & 1) as u32) << 31,
+        _ => w as u32,
+    })
+}
+
+/// A campaign configuration with every field drawn: counts as raw words,
+/// floats as raw bit patterns (NaN payloads, −0 and ±∞ included).
+fn eval_config(word: &dyn Fn(usize) -> u64) -> EvalConfig {
+    let mut c = EvalConfig::smoke();
+    c.phy.samples_per_chip = word(0) as usize;
+    c.phy.psdu_octets = word(1) as usize;
+    c.phy.preamble_threshold = float_from(word(2));
+    c.phy.sync_search_window = word(3) as usize;
+    c.cir.n_taps = word(4) as usize;
+    c.cir.los_tap = word(5) as usize;
+    c.cir.delay_taps_per_meter = float_from(word(6));
+    c.cir.human_scatter_reflectivity = float_from(word(7));
+    c.cir.diffuse_relative_std = float_from(word(8));
+    c.cir.diffuse_decay = float_from(word(9));
+    c.vvd.conv_filters = word(10) as usize;
+    c.vvd.dense_units = word(11) as usize;
+    c.vvd.channel_taps = word(12) as usize;
+    c.vvd.pooling = [PoolingKind::Average, PoolingKind::Max][(word(13) % 2) as usize];
+    c.vvd.batch_norm = word(14) % 2 == 1;
+    c.vvd.epochs = word(15) as usize;
+    c.vvd.batch_size = word(16) as usize;
+    c.vvd.learning_rate = float32_from(word(17));
+    c.vvd.lr_decay = float32_from(word(18));
+    c.vvd.seed = word(19);
+    c.equalizer.equalizer_taps = word(20) as usize;
+    c.equalizer.channel_taps = word(21) as usize;
+    c.equalizer.align_phase = word(22) % 2 == 1;
+    c.snr_db = float_from(word(23));
+    c.n_sets = word(24) as usize;
+    c.packets_per_set = word(25) as usize;
+    c.n_combinations = word(26) as usize;
+    c.kalman_warmup_packets = word(27) as usize;
+    c.max_vvd_training_samples = word(28) as usize;
+    c.seed = word(29);
+    c
+}
+
+/// The model-file frame of a small trained network, trained once.
+fn model_frame() -> &'static [u8] {
+    static FRAME: OnceLock<Vec<u8>> = OnceLock::new();
+    FRAME.get_or_init(|| {
+        let mut config = VvdConfig::quick();
+        (config.conv_filters, config.dense_units, config.channel_taps) = (2, 4, 2);
+        config.epochs = 1;
+        let mut train = VvdDataset::new();
+        for k in 0..4 {
+            train.push(VvdSample {
+                image: DepthImage::filled(30, 26, 0.2 * k as f32),
+                target_cir: vvd_dsp::FirFilter::from_taps(&[
+                    vvd_dsp::Complex::new(1e-3, 0.0),
+                    vvd_dsp::Complex::new(0.0, 1e-4),
+                ]),
+            });
+        }
+        let (model, _) = VvdModel::train(VvdVariant::Current, &config, &train, &VvdDataset::new());
+        model.to_frame().unwrap()
+    })
+}
+
+/// Every strict prefix of a model frame is truncated: the header pins the
+/// payload length, so no cut decodes.
+#[test]
+fn every_strict_prefix_of_a_model_frame_is_truncated() {
+    let frame = model_frame();
+    assert!(VvdModel::from_frame(frame).is_ok());
+    for cut in 0..frame.len() {
+        let err = VvdModel::from_frame(&frame[..cut]).err();
+        assert!(
+            matches!(err, Some(WireError::Truncated { .. })),
+            "cut at {cut} of {}: {err:?}",
+            frame.len()
+        );
+    }
+}
+
+/// Every single-byte corruption of a model frame, at every offset — the
+/// header, the variant, the configuration, the normaliser, the image size,
+/// the key, the architecture tag, every length prefix and weight — decodes
+/// to a model or a typed error, never a panic.  Decoding is canonical, so a
+/// corrupted frame that still decodes re-encodes to exactly its bytes.
+#[test]
+fn single_byte_corruption_of_a_model_frame_is_handled_totally() {
+    let frame = model_frame();
+    for at in 0..frame.len() {
+        for flip in [0x01, 0x80, 0xFF] {
+            let mut bad = frame.to_vec();
+            bad[at] ^= flip;
+            if let Ok(model) = VvdModel::from_frame(&bad) {
+                assert_eq!(model.to_frame().unwrap(), bad, "flip {flip:#x} at {at}");
+            }
+        }
+    }
 }
 
 /// A random-but-valid engine checkpoint assembled from drawn primitives.
@@ -430,6 +540,25 @@ proptest! {
                 matches!(err, CheckpointError::Wire(_)),
                 "flip at {}: unexpected error {:?}", at, err
             ),
+        }
+    }
+
+    /// Arbitrary bytes — bare, as the payload of a model-file header, or
+    /// spliced into a real model frame's payload — never panic the model
+    /// decoder.
+    #[test]
+    fn random_bytes_never_panic_the_model_decoder(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        splice_at in any::<prop::sample::Index>(),
+    ) {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, MODEL_KIND, &bytes).unwrap();
+        let real = &model_frame()[12..];
+        let at = splice_at.index(real.len());
+        let mut spliced = Vec::new();
+        write_frame(&mut spliced, MODEL_KIND, &[&real[..at], &bytes].concat()).unwrap();
+        for input in [&bytes, &framed, &spliced] {
+            let _ = VvdModel::from_frame(input);
         }
     }
 }

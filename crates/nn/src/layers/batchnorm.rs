@@ -178,8 +178,8 @@ impl Layer for BatchNorm2d {
             self.gamma.grad[ch] += sum_dy_xhat;
 
             for i in 0..n {
-                let g = grad_output.item(i).to_vec();
-                let x = input.item(i).to_vec();
+                let g = grad_output.item(i);
+                let x = input.item(i);
                 let gi = grad_input.item_mut(i);
                 for idx in ch * h * w..(ch + 1) * h * w {
                     let xhat = (x[idx] - mean) * inv_std;
@@ -272,6 +272,63 @@ mod tests {
                 "input {idx}: numeric {numeric} vs analytic {}",
                 grad_input.data()[idx]
             );
+        }
+    }
+
+    #[test]
+    fn multi_channel_gradients_match_the_formula_bit_for_bit() {
+        let (n, c, h, w) = (2, 3, 2, 3);
+        let plane = h * w;
+        let mut bn = BatchNorm2d::new(c);
+        bn.gamma.value = vec![0.5, 1.5, -2.0];
+        bn.beta.value = vec![0.1, -0.2, 0.3];
+        let x = Tensor::from_vec(
+            &[n, c, h, w],
+            (0..n * c * plane)
+                .map(|i| (i as f32 * 0.37).sin() * (1.0 + i as f32 * 0.1))
+                .collect(),
+        );
+        let g = Tensor::from_vec(
+            &[n, c, h, w],
+            (0..n * c * plane)
+                .map(|i| (i as f32 * 0.91).cos() + 0.2)
+                .collect(),
+        );
+        let _ = bn.forward(&x, true);
+        let grad_input = bn.backward(&g);
+
+        // The backward formula, evaluated element by element in the
+        // layer's own summation order.
+        let count = (n * plane) as f32;
+        let at = |t: &Tensor, i: usize, ch: usize, k: usize| t.item(i)[ch * plane + k];
+        for ch in 0..c {
+            let (mean, gamma) = (bn.cached_mean[ch], bn.gamma.value[ch]);
+            let inv_std = 1.0 / (bn.cached_var[ch] + bn.epsilon).sqrt();
+            let xhat = |i: usize, k: usize| (at(&x, i, ch, k) - mean) * inv_std;
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for i in 0..n {
+                for k in 0..plane {
+                    sum_dy += at(&g, i, ch, k);
+                    sum_dy_xhat += at(&g, i, ch, k) * xhat(i, k);
+                }
+            }
+            assert_eq!(bn.beta.grad[ch].to_bits(), sum_dy.to_bits(), "beta {ch}");
+            assert_eq!(
+                bn.gamma.grad[ch].to_bits(),
+                sum_dy_xhat.to_bits(),
+                "gamma {ch}"
+            );
+            for i in 0..n {
+                for k in 0..plane {
+                    let expected = gamma * inv_std / count
+                        * (count * at(&g, i, ch, k) - sum_dy - xhat(i, k) * sum_dy_xhat);
+                    assert_eq!(
+                        at(&grad_input, i, ch, k).to_bits(),
+                        expected.to_bits(),
+                        "input ({i}, {ch}, {k})"
+                    );
+                }
+            }
         }
     }
 

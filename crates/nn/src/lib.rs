@@ -25,7 +25,8 @@
 //!   sample shards, one thread fan-out per pass, and a [`train::Trainer`]
 //!   that keeps the weights of the best validation epoch, exactly like the
 //!   paper's model-selection procedure,
-//! * weight (de)serialisation via `serde` ([`serialize`]).
+//! * weight (de)serialisation as raw `f32` bits through the workspace's
+//!   wire codec ([`serialize`]).
 //!
 //! The implementation favours clarity and testability over raw speed; the
 //! evaluation presets in `vvd-testbed` size the network and dataset so that

@@ -6,7 +6,6 @@
 //! SGD and plain Adam are provided for comparison and tests.
 
 use crate::param::Parameter;
-use serde::{Deserialize, Serialize};
 
 /// A gradient-descent style optimizer that updates one [`Parameter`] at a
 /// time (all state that is per-parameter lives inside the parameter's moment
@@ -24,7 +23,7 @@ pub trait Optimizer {
 }
 
 /// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
@@ -66,7 +65,7 @@ impl Optimizer for Sgd {
 }
 
 /// Adam optimizer (Kingma & Ba).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Base learning rate.
     pub lr: f32,
@@ -126,7 +125,7 @@ impl Optimizer for Adam {
 
 /// Nadam optimizer: Adam with Nesterov momentum, as used by the paper
 /// (initial learning rate 1e-4, decay 0.004).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Nadam {
     /// Base learning rate.
     pub lr: f32,

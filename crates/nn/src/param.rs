@@ -4,11 +4,9 @@
 //! accumulated gradient and the optimizer moment buffers so that optimizers
 //! can be stateless apart from their global step counter.
 
-use serde::{Deserialize, Serialize};
-
 /// A trainable parameter tensor (flattened storage; the owning layer knows
 /// its logical shape).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Parameter {
     /// Current value.
     pub value: Vec<f32>,

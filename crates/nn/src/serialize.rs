@@ -2,16 +2,17 @@
 //!
 //! The paper publishes its trained Keras model alongside the dataset; the
 //! reproduction offers the same ability by snapshotting a model's parameter
-//! state to JSON (self-describing, diff-able, no extra dependencies beyond
-//! `serde_json`).
+//! state into a [`ModelCheckpoint`], whose
+//! [`WireCodec`](vvd_dsp::wire::WireCodec) encoding stores
+//! every weight as its raw `f32` bit pattern, so a restored model predicts
+//! bit-identically (non-finite weights included).
 
 use crate::model::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// A serialisable snapshot of a model's trainable parameters and
 /// non-trainable buffers together with a free-form architecture tag used to
 /// detect mismatched loads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelCheckpoint {
     /// Identifier of the architecture the weights belong to.
     pub architecture: String,
@@ -20,14 +21,14 @@ pub struct ModelCheckpoint {
     /// Non-trainable buffers (batch-norm running statistics) in layer
     /// order.  Empty for models without buffered layers; an empty list
     /// leaves the target model's buffers at their initial values.
-    ///
-    /// The field is required: checkpoints written by the buffer-less v1
-    /// format do not parse (the vendored serde derive has no per-field
-    /// defaulting).  No v1 checkpoints are persisted anywhere — the format
-    /// only goes to disk via the model cache introduced together with this
-    /// field.
     pub buffers: Vec<Vec<f32>>,
 }
+
+vvd_dsp::wire_struct!(ModelCheckpoint {
+    architecture,
+    parameters,
+    buffers
+});
 
 impl ModelCheckpoint {
     /// Captures the current weights and buffers of a model.
@@ -78,19 +79,6 @@ impl ModelCheckpoint {
         }
         Ok(())
     }
-
-    /// Serialises the checkpoint to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serialisation cannot fail")
-    }
-
-    /// Parses a checkpoint from JSON.
-    ///
-    /// # Errors
-    /// Returns the underlying `serde_json` error message on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -100,6 +88,18 @@ mod tests {
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use vvd_dsp::wire::{Decoder, Encoder, WireCodec};
+
+    /// The checkpoint's encoding, decoded again; every byte must be used.
+    fn round_trip(checkpoint: &ModelCheckpoint) -> ModelCheckpoint {
+        let mut enc = Encoder::new();
+        checkpoint.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let decoded = ModelCheckpoint::decode(&mut dec).unwrap();
+        dec.finish().unwrap();
+        decoded
+    }
 
     fn model(seed: u64) -> Sequential {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -116,8 +116,7 @@ mod tests {
         let expected = original.predict(&x);
 
         let checkpoint = ModelCheckpoint::capture("mlp-3-5-2", &mut original);
-        let json = checkpoint.to_json();
-        let parsed = ModelCheckpoint::from_json(&json).unwrap();
+        let parsed = round_trip(&checkpoint);
 
         let mut restored = model(99); // different random init
         assert_ne!(restored.predict(&x).data(), expected.data());
@@ -144,7 +143,10 @@ mod tests {
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(ModelCheckpoint::from_json("not json").is_err());
+        // Text is not a checkpoint encoding: its first four bytes read as
+        // a tag length far past the end.
+        let mut dec = Decoder::new(b"not json");
+        assert!(ModelCheckpoint::decode(&mut dec).is_err());
     }
 
     mod full_stack_roundtrip {
@@ -197,8 +199,7 @@ mod tests {
             trainer.fit(&mut original, &mut opt, &x, &zeros, &no_x, &no_y);
             let expected = original.predict(&x);
 
-            let json = ModelCheckpoint::capture("every-layer", &mut original).to_json();
-            let parsed = ModelCheckpoint::from_json(&json).unwrap();
+            let parsed = round_trip(&ModelCheckpoint::capture("every-layer", &mut original));
             assert!(
                 !parsed.buffers.is_empty(),
                 "batch-norm running stats must be captured"

@@ -4,10 +4,8 @@
 //! handful of helpers the layers need.  Image batches use the
 //! `[batch, channels, height, width]` convention.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense tensor of `f32` values with row-major storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -17,10 +17,9 @@ use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -46,7 +45,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch training history and the selected epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Training loss after each epoch.
     pub train_loss: Vec<f32>,

@@ -5,8 +5,6 @@
 //! [`PhyConfig`] so tests and the quick evaluation preset can scale the
 //! packet size down without touching any code path.
 
-use serde::{Deserialize, Serialize};
-
 /// Chip rate of the IEEE 802.15.4 2.4 GHz O-QPSK PHY in chips per second.
 pub const CHIP_RATE_HZ: f64 = 2_000_000.0;
 
@@ -26,7 +24,7 @@ pub const SFD_OCTET: u8 = 0xA7;
 pub const MAX_PSDU_OCTETS: usize = 127;
 
 /// Static configuration of the simulated PHY.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhyConfig {
     /// Baseband samples per chip (the paper's 8 MHz capture of the 2 Mchip/s
     /// signal corresponds to 4).
@@ -41,6 +39,13 @@ pub struct PhyConfig {
     /// which the synchroniser looks for the preamble correlation peak.
     pub sync_search_window: usize,
 }
+
+vvd_dsp::wire_struct!(PhyConfig {
+    samples_per_chip,
+    psdu_octets,
+    preamble_threshold,
+    sync_search_window
+});
 
 impl Default for PhyConfig {
     fn default() -> Self {

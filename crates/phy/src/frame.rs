@@ -10,10 +10,9 @@
 use crate::config::{PhyConfig, MAX_PSDU_OCTETS, PREAMBLE_OCTETS, SFD_OCTET};
 use crate::crc::{append_fcs, check_fcs};
 use crate::symbols::octets_to_symbols;
-use serde::{Deserialize, Serialize};
 
 /// A fully assembled PHY frame (PPDU) ready for spreading and modulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Sequence number embedded in the PSDU (mirrors the paper's per-packet
     /// sequence number).
@@ -54,7 +53,7 @@ impl Frame {
 
 /// Builds PSDUs that mimic the measurement campaign: constant payload body,
 /// varying sequence number, valid FCS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PsduBuilder {
     psdu_octets: usize,
 }

@@ -52,6 +52,13 @@ pub struct DecodeOutcome {
     pub symbol_errors: usize,
 }
 
+vvd_dsp::wire_struct!(DecodeOutcome {
+    crc_ok,
+    chip_errors,
+    chip_count,
+    symbol_errors
+});
+
 impl DecodeOutcome {
     /// Chip error rate of this packet.
     pub fn chip_error_rate(&self) -> f64 {

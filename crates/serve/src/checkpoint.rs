@@ -10,7 +10,7 @@
 //! and is rebuilt by [`LoadGenerator`](crate::LoadGenerator) on resume
 //! (VVD weights rehydrate through the shared
 //! [`ModelCache`](vvd_estimation::ModelCache); the checkpointed
-//! [`ModelKey`] pins that the rehydrated model is the
+//! [`ModelKey`](vvd_core::ModelKey) pins that the rehydrated model is the
 //! one the checkpoint saw).  That split is what makes resume
 //! *deterministic by construction*: a resumed engine replays the same
 //! per-tick plan the uninterrupted engine would have run, so its final
@@ -47,23 +47,16 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use vvd_core::ModelKey;
-use vvd_estimation::{EstimatorState, KalmanTapState, StateError};
+use vvd_estimation::{EstimatorState, StateError};
 use vvd_testbed::stream::EstimatorTrace;
+
+pub use vvd_estimation::MAX_STATE_DEPTH;
 
 /// Frame kind of a checkpoint, outside the cluster message kinds 1–9: a
 /// message frame handed to [`EngineCheckpoint::from_frame`], or a
 /// checkpoint frame handed to the message decoder, fails with
 /// [`WireError::UnknownKind`].
 pub const CHECKPOINT_KIND: u16 = 0x0100;
-
-/// Most levels an [`EstimatorState`] tree may have in a frame (a leaf is
-/// one level, each enclosing fallback one more).  The decoder refuses
-/// deeper trees, so [`EngineCheckpoint::to_frame`] refuses to write them.
-pub const MAX_STATE_DEPTH: usize = 16;
-
-/// Why a state tree is refused, on encode and on decode alike.
-const TOO_DEEP: &str = "estimator state nesting too deep";
 
 /// Everything that can go wrong writing, reading or applying a
 /// checkpoint.
@@ -209,12 +202,8 @@ impl EngineCheckpoint {
     /// payload exceeds the frame cap — exactly the frames
     /// [`from_frame`](Self::from_frame) would refuse.
     pub fn to_frame(&self) -> Result<Vec<u8>, CheckpointError> {
-        if self
-            .sessions
-            .iter()
-            .any(|s| state_depth(&s.estimator) > MAX_STATE_DEPTH)
-        {
-            return Err(WireError::Malformed { context: TOO_DEEP }.into());
+        for session in &self.sessions {
+            session.estimator.check_depth()?;
         }
         let mut payload = Encoder::new();
         self.encode(&mut payload);
@@ -239,144 +228,21 @@ impl EngineCheckpoint {
     }
 }
 
-impl WireCodec for EngineCheckpoint {
-    fn encode(&self, enc: &mut Encoder) {
-        self.ticks.encode(enc);
-        self.batches.encode(enc);
-        self.sessions.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(EngineCheckpoint {
-            ticks: u64::decode(dec)?,
-            batches: BatchCounters::decode(dec)?,
-            sessions: Vec::decode(dec)?,
-        })
-    }
-}
+vvd_dsp::wire_struct!(EngineCheckpoint {
+    ticks,
+    batches,
+    sessions
+});
 
-impl WireCodec for SessionCheckpoint {
-    fn encode(&self, enc: &mut Encoder) {
-        self.id.encode(enc);
-        self.scenario.encode(enc);
-        self.interval.encode(enc);
-        self.next_due.encode(enc);
-        self.cursor.encode(enc);
-        self.estimator.encode(enc);
-        self.trace.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(SessionCheckpoint {
-            id: usize::decode(dec)?,
-            scenario: String::decode(dec)?,
-            interval: u64::decode(dec)?,
-            next_due: u64::decode(dec)?,
-            cursor: usize::decode(dec)?,
-            estimator: EstimatorState::decode(dec)?,
-            trace: EstimatorTrace::decode(dec)?,
-        })
-    }
-}
-
-/// Levels of a state tree: one for a leaf, one more per enclosing
-/// fallback.
-fn state_depth(state: &EstimatorState) -> usize {
-    match state {
-        EstimatorState::Fallback { primary, secondary } => {
-            1 + state_depth(primary).max(state_depth(secondary))
-        }
-        _ => 1,
-    }
-}
-
-impl WireCodec for EstimatorState {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            EstimatorState::Stateless => enc.put_u8(0),
-            EstimatorState::Previous { history } => {
-                enc.put_u8(1);
-                history.encode(enc);
-            }
-            EstimatorState::AgedPreamble { history } => {
-                enc.put_u8(2);
-                history.encode(enc);
-            }
-            EstimatorState::Kalman { taps } => {
-                enc.put_u8(3);
-                taps.encode(enc);
-            }
-            EstimatorState::Vvd { key } => {
-                enc.put_u8(4);
-                key.encode(enc);
-            }
-            EstimatorState::Fallback { primary, secondary } => {
-                enc.put_u8(5);
-                primary.encode(enc);
-                secondary.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        decode_state(dec, 1)
-    }
-}
-
-/// Decodes a state tree whose root sits at level `depth`, refusing any
-/// level past [`MAX_STATE_DEPTH`] before reading it.
-fn decode_state(dec: &mut Decoder<'_>, depth: usize) -> Result<EstimatorState, WireError> {
-    if depth > MAX_STATE_DEPTH {
-        return Err(WireError::Malformed { context: TOO_DEEP });
-    }
-    Ok(match dec.take_u8("estimator state tag")? {
-        0 => EstimatorState::Stateless,
-        1 => EstimatorState::Previous {
-            history: Vec::decode(dec)?,
-        },
-        2 => EstimatorState::AgedPreamble {
-            history: Vec::decode(dec)?,
-        },
-        3 => EstimatorState::Kalman {
-            taps: Vec::decode(dec)?,
-        },
-        4 => EstimatorState::Vvd {
-            key: Option::decode(dec)?,
-        },
-        5 => EstimatorState::Fallback {
-            primary: Box::new(decode_state(dec, depth + 1)?),
-            secondary: Box::new(decode_state(dec, depth + 1)?),
-        },
-        _ => {
-            return Err(WireError::Malformed {
-                context: "estimator state tag",
-            })
-        }
-    })
-}
-
-impl WireCodec for KalmanTapState {
-    fn encode(&self, enc: &mut Encoder) {
-        self.state.encode(enc);
-        self.cov.encode(enc);
-        self.history.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(KalmanTapState {
-            state: Vec::decode(dec)?,
-            cov: Vec::decode(dec)?,
-            history: Vec::decode(dec)?,
-        })
-    }
-}
-
-impl WireCodec for ModelKey {
-    fn encode(&self, enc: &mut Encoder) {
-        let (a, b) = self.to_parts();
-        a.encode(enc);
-        b.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ModelKey::from_parts(u64::decode(dec)?, u64::decode(dec)?))
-    }
-}
+vvd_dsp::wire_struct!(SessionCheckpoint {
+    id,
+    scenario,
+    interval,
+    next_due,
+    cursor,
+    estimator,
+    trace
+});
 
 // ---------------------------------------------------------------------------
 // Stores
@@ -541,8 +407,9 @@ pub fn load_checkpoint_file(path: &Path) -> Result<EngineCheckpoint, CheckpointE
 mod tests {
     use super::*;
     use crate::wire::MAX_FRAME_PAYLOAD;
+    use vvd_core::ModelKey;
     use vvd_dsp::{CVec, Complex, FirFilter};
-    use vvd_estimation::EstimatorRegistry;
+    use vvd_estimation::{EstimatorRegistry, KalmanTapState};
     use vvd_phy::DecodeOutcome;
 
     fn fir(scale: f64, taps: usize) -> FirFilter {

@@ -33,13 +33,13 @@
 //!   [`predict_batch`](vvd_core::VvdModel::predict_batch) call per
 //!   distinct model, amortising the cost that dominates per-packet CPU
 //!   time.
-//! * [`wire`] — the workspace's one binary codec: length-prefixed frames
-//!   (`magic · version · kind · len`), the deterministic little-endian
-//!   [`WireCodec`](wire::WireCodec) (floats as IEEE-754 bit patterns)
-//!   with impls for the value types that leave a process, and typed
-//!   [`WireError`](wire::WireError)s for every way bytes can be
-//!   truncated, corrupted or oversized.  `vvd-net` re-exports it for its
-//!   cluster messages.
+//! * [`wire`] — the workspace's one binary codec, re-exported from
+//!   `vvd-dsp`: length-prefixed frames (`magic · version · kind · len`),
+//!   the deterministic little-endian [`WireCodec`](wire::WireCodec)
+//!   (floats as IEEE-754 bit patterns), whose impls sit beside the types
+//!   they encode, and typed [`WireError`](wire::WireError)s for every way
+//!   bytes can be truncated, corrupted or oversized.  `vvd-net` re-exports
+//!   it for its cluster messages.
 //! * [`checkpoint`] — session durability: each [`EngineCheckpoint`] is one
 //!   wire frame of kind [`CHECKPOINT_KIND`] carrying every session's
 //!   *streaming* state (cursor, trace, estimator state) across process
@@ -76,7 +76,8 @@ pub mod report;
 pub mod session;
 pub mod store;
 pub mod timing;
-pub mod wire;
+
+pub use vvd_dsp::wire;
 
 pub use checkpoint::{
     load_checkpoint_file, CheckpointError, CheckpointStore, DirCheckpointStore, EngineCheckpoint,

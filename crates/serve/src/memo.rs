@@ -65,6 +65,12 @@ pub struct SynthCounters {
     pub peak_resident_bytes: u64,
 }
 
+vvd_dsp::wire_struct!(SynthCounters {
+    requests,
+    syntheses,
+    peak_resident_bytes
+});
+
 impl SynthCounters {
     /// Accumulates another engine's counters: requests and syntheses sum,
     /// the peak is the largest single-engine peak (each engine's memo is

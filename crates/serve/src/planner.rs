@@ -30,6 +30,12 @@ pub struct BatchCounters {
     pub max_batch: usize,
 }
 
+vvd_dsp::wire_struct!(BatchCounters {
+    batch_calls,
+    images,
+    max_batch
+});
+
 impl BatchCounters {
     /// Mean images per batched call — the "batch occupancy".  An occupancy
     /// above 1 means the planner amortised forward passes across sessions;

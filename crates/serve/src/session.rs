@@ -49,6 +49,14 @@ pub struct SessionSpec {
     pub combination: usize,
 }
 
+vvd_dsp::wire_struct!(SessionSpec {
+    scenario,
+    estimator,
+    interval_ticks,
+    offset_ticks,
+    combination
+});
+
 impl SessionSpec {
     /// A session over the given scenario and estimator specs, with one
     /// packet per tick starting at tick 0 on combination 0.

@@ -7,11 +7,9 @@
 //! same structure (disjoint validation/test set, all remaining sets used for
 //! training) is generated.
 
-use serde::{Deserialize, Serialize};
-
 /// One train/validation/test split (set identifiers are 1-based, matching
 /// the paper's numbering).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetCombination {
     /// 1-based combination number.
     pub number: usize,

@@ -7,7 +7,6 @@
 //! finish on a laptop while preserving the qualitative shape of the
 //! results, and `smoke()` is a minimal configuration for unit tests.
 
-use serde::{Deserialize, Serialize};
 use vvd_channel::CirConfig;
 use vvd_core::VvdConfig;
 use vvd_estimation::EqualizerConfig;
@@ -15,7 +14,7 @@ use vvd_phy::PhyConfig;
 
 /// Full configuration of a simulated measurement campaign and its
 /// evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalConfig {
     /// PHY configuration (PSDU length, samples per chip, preamble
     /// threshold).
@@ -43,6 +42,20 @@ pub struct EvalConfig {
     /// Base RNG seed of the campaign.
     pub seed: u64,
 }
+
+vvd_dsp::wire_struct!(EvalConfig {
+    phy,
+    cir,
+    vvd,
+    equalizer,
+    snr_db,
+    n_sets,
+    packets_per_set,
+    n_combinations,
+    kalman_warmup_packets,
+    max_vvd_training_samples,
+    seed
+});
 
 impl EvalConfig {
     /// Full-scale configuration matching the paper's campaign dimensions.

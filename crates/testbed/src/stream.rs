@@ -106,6 +106,15 @@ pub struct EstimatorTrace {
     pub per_packet: Vec<DecodeOutcome>,
 }
 
+// Frame order, not declaration order: both outcome lists, then the MSE pairs.
+vvd_dsp::wire_struct!(EstimatorTrace {
+    label,
+    scored,
+    per_packet,
+    estimates,
+    truths
+});
+
 impl EstimatorTrace {
     /// An empty trace reported under `label`.
     pub fn new(label: impl Into<String>) -> Self {

@@ -6,10 +6,9 @@
 //! model with a configurable pose, field of view and resolution suffices.
 
 use crate::scene::{Ray, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A pinhole depth camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PinholeCamera {
     /// Camera position in world coordinates (metres).
     pub position: Vec3,

@@ -1,10 +1,8 @@
 //! Depth image container.
 
-use serde::{Deserialize, Serialize};
-
 /// A single-channel depth image, row-major, depths in metres (or normalised
 /// units after preprocessing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepthImage {
     width: usize,
     height: usize,

@@ -9,10 +9,9 @@
 //! behaviour can be tested.
 
 use crate::image::DepthImage;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the preprocessing pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreprocessConfig {
     /// Integer block-average downsampling factor applied first (1 = none).
     pub downsample_factor: usize,

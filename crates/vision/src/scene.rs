@@ -5,12 +5,10 @@
 //! robots), and a cylinder for the single mobile human.  Only depth matters,
 //! so primitives carry no material information.
 
-use serde::{Deserialize, Serialize};
-
 /// A 3-D vector / point used by the renderer (kept separate from the
 /// channel crate's `Point3` to avoid a dependency cycle; the testbed
 /// converts between them).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component.
     pub x: f64,
@@ -83,7 +81,7 @@ pub struct Ray {
 }
 
 /// An axis-aligned box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,
@@ -139,7 +137,7 @@ impl Aabb {
 }
 
 /// A finite vertical cylinder (axis parallel to z).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerticalCylinder {
     /// Axis x position.
     pub x: f64,
@@ -198,7 +196,7 @@ impl VerticalCylinder {
 }
 
 /// An axis-aligned plane (floor or wall) hit from the front side.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Plane {
     /// Horizontal plane z = value (the floor).
     Z(f64),
@@ -229,7 +227,7 @@ impl Plane {
 }
 
 /// The complete render scene.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scene {
     /// Background planes (floor and walls).
     pub planes: Vec<Plane>,
